@@ -111,6 +111,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
+    if not 0.0 < args.gamma < 1.0:
+        raise ConfigError(f"--gamma must lie in (0, 1), got {args.gamma}")
+    if not 0.0 <= args.lam <= 1.0:
+        raise ConfigError(f"--lam must lie in [0, 1], got {args.lam}")
+    if args.states < 2:
+        raise ConfigError(f"--states must be >= 2, got {args.states}")
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     disc = DiscountSpec(gamma=args.gamma, lam=args.lam)
     report = fixed_point_check(
         args.states, args.seed, disc, args.steps, target_tol=args.tol
@@ -146,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as err:  # anything else is an internal failure

@@ -34,18 +34,6 @@ def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean inner product."""
-    check_same_length(a, b)
-    return float(a @ b)
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return alpha * x + y."""
-    check_same_length(x, y)
-    return alpha * x + y
-
-
 @dataclass(frozen=True, slots=True)
 class DiscountSpec:
     """Discount factor gamma in (0,1) and trace-decay parameter lam in [0,1]."""

@@ -34,10 +34,12 @@ from .envs import (
 )
 from .learners import (
     DIVERGENCE_THRESHOLD,
+    implicit_step,
     make_learner,
+    standard_step,
     td_fixed_point_oracle,
-    td_step_implicit,
-    td_step_standard,
+    td_step_implicit,  # not called here; kept for bench/layers.py, which rebinds it
+    td_step_standard,  # not called here; kept for bench/layers.py, which rebinds it
     TdStepRecord,
 )
 from .stability import TransitionGeometry, audit_step
@@ -286,6 +288,9 @@ class FixedPointReport:
 # non-finite candidate before any finite weight crossed the threshold.
 _NONFINITE_NORM = 10.0 * DIVERGENCE_THRESHOLD
 
+# steps between divergence / early-exit checks of a TD evaluation
+CHECK_EVERY = 1000
+
 
 def run_td_evaluation(
     mrp: FiniteMrp,
@@ -297,64 +302,57 @@ def run_td_evaluation(
     eval_window: int | None = None,
     target_weights: np.ndarray | None = None,
     target_tol: float | None = None,
-    check_every: int = 1000,
     on_step: StepHook | None = None,
 ) -> TdEvalResult:
     """Evaluate the MRP's fixed policy for total_steps transitions.
 
-    The state path is presampled from default_rng(seed). Two routes produce
-    bit-identical weights: a generic route through the step functions
-    (always taken when on_step is set or the schedule is alpha_bound), and
-    an inlined loop performing the same float operations without the
-    per-step object plumbing. Divergence and the optional early-exit target
-    are checked every check_every steps on the inlined route and every step
-    on the generic one, so early-exit runs may stop at different step counts
-    between routes; final weights at any common step count agree bitwise.
+    The state path is presampled from default_rng(seed). Every step takes
+    its alpha from next_alpha and applies the learner's kernel
+    (implicit_step or standard_step) to plain arrays. When on_step is set it
+    is called after each step with (Transition, alpha, trace used,
+    TdStepRecord); those objects are built only for the hook, which observes
+    and never changes the result.
+
+    Divergence (non-finite weights, or max-abs weight above
+    DIVERGENCE_THRESHOLD) and the optional early-exit target are checked
+    every CHECK_EVERY steps and at the last step. The run stops at the first
+    check that trips, so steps_completed is a multiple of CHECK_EVERY or
+    total_steps, and max_weight_abs is the largest max-abs weight seen at a
+    check (_NONFINITE_NORM at least, when the weights went non-finite).
     """
     rng = np.random.default_rng(seed)
     path = sample_state_path(mrp, total_steps + 1, rng)
     rewards = mrp.r[path[:-1]]
     feats = mrp.features
-    if on_step is not None or schedule.kind == "alpha_bound":
-        return _run_eval_generic(
-            mrp, disc, schedule, total_steps, implicit, path, rewards,
-            eval_window, target_weights, target_tol, on_step,
-        )
-
+    step = implicit_step if implicit else standard_step
     k = feats.shape[1]
     w = np.zeros(k)
     e = np.zeros(k)
     gamma = disc.gamma
     decay = disc.trace_decay
-    alpha0 = schedule.alpha0
-    polynomial = schedule.kind == "polynomial"
-    exponent = schedule.exponent
-    alpha = alpha0
+    alpha_bound = schedule.kind == "alpha_bound"
     max_abs = 0.0
     diverged = False
     steps_done = 0
+    phi2 = feats[path[0]]
     for t in range(total_steps):
-        phi = feats[path[t]]
+        phi = phi2
         phi2 = feats[path[t + 1]]
-        if polynomial:
-            alpha = alpha0 * float(t + 1) ** -exponent
-        if implicit:
-            prev_dot = float(e @ w)
-            e *= decay
-            e += phi
-            bootstrap = gamma * float(phi2 @ w)
-            bracket = float(rewards[t]) + bootstrap + decay * prev_dot
-            u = w + (alpha * bracket) * e
-            shrink = alpha / (1.0 + alpha * float(e @ e))
-            w = u - (shrink * float(e @ u)) * e
-        else:
-            e *= decay
-            e += phi
-            bootstrap = gamma * float(phi2 @ w)
-            delta = float(rewards[t]) + bootstrap - float(phi @ w)
-            w = w + (alpha * delta) * e
+        reward = float(rewards[t])
+        # only alpha_bound reads the trace argument: the trace entering this step
+        e_in = update_trace(e, phi, disc) if alpha_bound else phi
+        alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
+        w, e, bracket = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
+        if on_step is not None:
+            td_error = bracket - float(e @ w) if implicit else bracket
+            on_step(
+                Transition(phi_t=phi, reward=reward, phi_next=phi2),
+                alpha,
+                e,
+                TdStepRecord(td_error, alpha, float(e @ e), float(np.max(np.abs(w)))),
+            )
         steps_done = t + 1
-        if steps_done % check_every == 0 or steps_done == total_steps:
+        if steps_done % CHECK_EVERY == 0 or steps_done == total_steps:
             if not np.isfinite(w).all():
                 diverged = True
                 max_abs = max(max_abs, _NONFINITE_NORM)
@@ -387,62 +385,6 @@ def _window_mean(rewards: np.ndarray, steps_done: int, window: int | None) -> fl
         window = steps_done
     lo = max(0, steps_done - window)
     return float(rewards[lo:steps_done].mean())
-
-
-def _run_eval_generic(
-    mrp: FiniteMrp,
-    disc: DiscountSpec,
-    schedule: StepSizeSchedule,
-    total_steps: int,
-    implicit: bool,
-    path: np.ndarray,
-    rewards: np.ndarray,
-    eval_window: int | None,
-    target_weights: np.ndarray | None,
-    target_tol: float | None,
-    on_step: StepHook | None,
-) -> TdEvalResult:
-    feats = mrp.features
-    learner = make_learner(feats.shape[1], disc)
-    step_fn = td_step_implicit if implicit else td_step_standard
-    max_abs = 0.0
-    diverged = False
-    steps_done = 0
-    for t in range(total_steps):
-        phi = feats[path[t]]
-        tr = Transition(phi_t=phi, reward=float(rewards[t]), phi_next=feats[path[t + 1]])
-        if schedule.kind == "alpha_bound":
-            e_entering = update_trace(learner.trace, phi, disc)
-        else:
-            e_entering = phi  # only alpha_bound reads the trace argument
-        alpha = next_alpha(
-            schedule, learner.step_count, e_entering, phi, tr.phi_next, disc.gamma
-        )
-        trace_in = learner.trace
-        _, rec = step_fn(learner, tr, alpha)
-        if on_step is not None:
-            on_step(tr, alpha, update_trace(trace_in, phi, disc), rec)
-        steps_done = t + 1
-        if rec.max_weight_abs > max_abs:
-            max_abs = rec.max_weight_abs
-        if learner.diverged:
-            diverged = True
-            if max_abs <= DIVERGENCE_THRESHOLD:
-                max_abs = _NONFINITE_NORM
-            break
-        if (
-            target_weights is not None
-            and target_tol is not None
-            and float(np.max(np.abs(learner.weights - target_weights))) <= target_tol
-        ):
-            break
-    return TdEvalResult(
-        weights=learner.weights,
-        steps_completed=steps_done,
-        diverged=diverged,
-        max_weight_abs=max_abs,
-        mean_reward_last_window=_window_mean(rewards, steps_done, eval_window),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ divide (rank-one inverse), never a k x k matrix, so both steps cost O(k).
 Terminal transitions zero the bootstrap term and reset the trace after the
 update.
 
+Each rule is written once, as an array-level kernel (standard_step,
+implicit_step). The TD-evaluation driver calls the kernels directly;
+td_step_standard and td_step_implicit wrap them with input checks and the
+divergence contract below.
+
 Divergence contract: a step that would produce non-finite weights sets the
 `diverged` flag and leaves the state otherwise untouched; a finite result
 whose max-abs exceeds DIVERGENCE_THRESHOLD is applied and then flagged.
@@ -97,6 +102,40 @@ def _commit(
     return state, TdStepRecord(td_error, alpha, trace_norm_sq, max_abs)
 
 
+def standard_step(
+    w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
+    reward: float, alpha: float, gamma: float, decay: float, terminal: bool,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Standard TD(lambda) kernel on plain arrays and floats, without
+    validation: returns (w', e, delta). `decay` is gamma*lambda."""
+    e = e_prev * decay
+    e += phi
+    bootstrap = 0.0 if terminal else gamma * float(phi_next @ w)
+    delta = reward + bootstrap - float(phi @ w)
+    return w + (alpha * delta) * e, e, delta
+
+
+def implicit_step(
+    w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
+    reward: float, alpha: float, gamma: float, decay: float, terminal: bool,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Implicit TD(lambda) kernel via the rank-one inverse: returns (w', e, b).
+
+    With b = r + gamma*phi'.w + gamma*lambda*(e_prev.w), the fixed point of
+    w' = w + alpha*(b - e.w')*e is
+
+        u  = w + alpha * b * e
+        w' = u - (alpha / (1 + alpha*||e||^2)) * (e.u) * e
+    """
+    e = e_prev * decay
+    e += phi
+    bootstrap = 0.0 if terminal else gamma * float(phi_next @ w)
+    bracket = reward + bootstrap + decay * float(e_prev @ w)
+    u = w + (alpha * bracket) * e
+    shrink = alpha / (1.0 + alpha * float(e @ e))
+    return u - (shrink * float(e @ u)) * e, e, bracket
+
+
 def td_step_standard(
     state: TdLearnerState, tr: Transition, alpha: float
 ) -> tuple[TdLearnerState, TdStepRecord]:
@@ -107,44 +146,29 @@ def td_step_standard(
         return state, _noop_record(state)
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
-    w = state.weights
-    e = update_trace(state.trace, tr.phi_t, disc)
-    bootstrap = 0.0 if tr.terminal else disc.gamma * float(tr.phi_next @ w)
-    delta = tr.reward + bootstrap - float(tr.phi_t @ w)
-    w_new = w + (alpha * delta) * e
+    w_new, e, delta = standard_step(
+        state.weights, state.trace, tr.phi_t, tr.phi_next, tr.reward,
+        alpha, disc.gamma, disc.trace_decay, tr.terminal,
+    )
     return _commit(state, tr, alpha, e, delta, w_new)
 
 
 def td_step_implicit(
     state: TdLearnerState, tr: Transition, alpha: float
 ) -> tuple[TdLearnerState, TdStepRecord]:
-    """One implicit TD(lambda) step via the rank-one inverse.
-
-    With b = r + gamma*phi'.w + gamma*lambda*(e_prev.w), the fixed point of
-    w' = w + alpha*(b - e.w')*e is
-
-        u  = w + alpha * b * e
-        w' = u - (alpha / (1 + alpha*||e||^2)) * (e.u) * e
-
-    The recorded td_error is the bracketed scalar of the applied update,
-    b - e.w'.
-    """
+    """One implicit TD(lambda) step (see implicit_step). Mutates and returns
+    `state`; the recorded td_error is b - e.w', the applied update's bracket."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
         return state, _noop_record(state)
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
-    w = state.weights
-    e_prev = state.trace
-    e = update_trace(e_prev, tr.phi_t, disc)
-    bootstrap = 0.0 if tr.terminal else disc.gamma * float(tr.phi_next @ w)
-    bracket = tr.reward + bootstrap + disc.trace_decay * float(e_prev @ w)
-    u = w + (alpha * bracket) * e
-    shrink = alpha / (1.0 + alpha * float(e @ e))
-    w_new = u - (shrink * float(e @ u)) * e
-    td_error = bracket - float(e @ w_new)
-    return _commit(state, tr, alpha, e, td_error, w_new)
+    w_new, e, bracket = implicit_step(
+        state.weights, state.trace, tr.phi_t, tr.phi_next, tr.reward,
+        alpha, disc.gamma, disc.trace_decay, tr.terminal,
+    )
+    return _commit(state, tr, alpha, e, bracket - float(e @ w_new), w_new)
 
 
 def td_step_implicit_oracle(

@@ -3,6 +3,7 @@
 import pytest
 
 from implicit_td import cli
+from implicit_td.core import DimensionMismatchError
 from implicit_td.harness import SWEEP_HEADER
 
 CONFIG = """
@@ -43,11 +44,27 @@ def test_bad_config_key_is_a_config_error(tmp_path):
 
 
 def test_internal_error_exits_three(config_path, monkeypatch):
-    def boom(*args, **kwargs):
-        raise RuntimeError("induced")
+    # a DimensionMismatchError is a ValueError, but a fault of the program, not of the config
+    for err in (RuntimeError("induced"), DimensionMismatchError("induced")):
 
-    monkeypatch.setattr(cli, "run_sweep", boom)
-    assert cli.main(["sweep", config_path]) == 3
+        def boom(*args, err=err, **kwargs):
+            raise err
+
+        monkeypatch.setattr(cli, "run_sweep", boom)
+        assert cli.main(["sweep", config_path]) == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gamma", "1.5"],
+        ["--lam", "-0.1"],
+        ["--states", "1"],
+        ["--steps", "0"],
+    ],
+)
+def test_fixed_point_bad_flag_is_a_config_error(flags):
+    assert cli.main(["fixed-point", *flags]) == 2
 
 
 def test_env_var_sets_output_directory(config_path, tmp_path, monkeypatch):

@@ -9,8 +9,6 @@ from implicit_td.core import (
     DimensionMismatchError,
     DiscountSpec,
     Transition,
-    axpy,
-    dot,
     update_trace,
 )
 
@@ -67,33 +65,6 @@ def test_update_trace_linear(e1, e2, a, b):
     lhs = update_trace(a * e1 + b * e2, a * e2 + b * e1, d)
     rhs = a * update_trace(e1, e2, d) + b * update_trace(e2, e1, d)
     assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def test_dot_examples():
-    assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert dot(np.array([2.0]), np.array([3.0])) == 6.0
-    assert dot(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == 32.0
-    with pytest.raises(DimensionMismatchError):
-        dot(np.zeros(2), np.zeros(3))
-
-
-@given(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
-def test_dot_norm_nonnegative(v):
-    arr = np.array(v)
-    assert dot(arr, arr) >= 0.0
-
-
-def test_dot_zero_vector():
-    assert dot(np.zeros(3), np.zeros(3)) == 0.0
-
-
-def test_axpy_examples():
-    y = np.array([0.0, 3.0])
-    assert np.array_equal(axpy(0.0, np.array([9.0, 9.0]), y), y)
-    assert np.array_equal(axpy(1.0, np.zeros(1), np.array([5.0])), [5.0])
-    assert np.array_equal(axpy(2.0, np.array([1.0, 1.0]), y), [2.0, 5.0])
-    with pytest.raises(DimensionMismatchError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
 
 
 def test_transition_validation():

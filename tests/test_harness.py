@@ -237,24 +237,27 @@ def test_csv_refuses_nonfinite(tmp_path):
 # --- TD evaluation driver
 
 
-def test_td_eval_lean_and_hooked_routes_agree():
+@pytest.mark.parametrize(
+    "alpha0,diverges", [(0.05, False), (1.5, True)], ids=["converging", "diverging"]
+)
+def test_td_eval_hook_only_observes(alpha0, diverges):
     mrp = random_chain_mrp(5, seed=9)
     disc = DiscountSpec(gamma=0.9, lam=0.5)
-    for implicit in (False, True):
-        plain = run_td_evaluation(
-            mrp, disc, make_schedule("constant", 0.05), 4000, seed=3, implicit=implicit
+    calls = []
+    runs = [
+        run_td_evaluation(
+            mrp, disc, make_schedule("constant", alpha0), 4000, seed=3,
+            implicit=False, on_step=hook,
         )
-        hooked = run_td_evaluation(
-            mrp,
-            disc,
-            make_schedule("constant", 0.05),
-            4000,
-            seed=3,
-            implicit=implicit,
-            on_step=lambda tr, alpha, e, rec: None,
-        )
-        assert np.array_equal(plain.weights, hooked.weights)
-        assert plain.steps_completed == hooked.steps_completed == 4000
+        for hook in (None, lambda tr, alpha, e, rec: calls.append(rec))
+    ]
+    plain, hooked = runs
+    assert np.array_equal(plain.weights, hooked.weights, equal_nan=True)
+    assert plain.steps_completed == hooked.steps_completed == len(calls)
+    assert plain.diverged == hooked.diverged == diverges
+    assert plain.max_weight_abs == hooked.max_weight_abs
+    # standard TD's first divergence here is at step 747; the run stops at the next check
+    assert plain.steps_completed == (1000 if diverges else 4000)
 
 
 def test_td_eval_early_exit_at_target():
