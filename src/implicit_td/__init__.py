@@ -20,7 +20,6 @@ from .envs import (
     PuddleWorld,
     fourier_features,
     make_fourier_basis,
-    mrp_sample_episode,
     random_chain_mrp,
     stationary_distribution,
 )
@@ -38,7 +37,6 @@ from .harness import (
 from .learners import (
     DIVERGENCE_THRESHOLD,
     TdLearnerState,
-    TdStepRecord,
     make_learner,
     td_fixed_point_oracle,
     td_step_implicit,
@@ -76,7 +74,6 @@ __all__ = [
     "StepSizeSchedule",
     "SweepResult",
     "TdLearnerState",
-    "TdStepRecord",
     "Transition",
     "TransitionGeometry",
     "audit_step",
@@ -90,7 +87,6 @@ __all__ = [
     "make_fourier_basis",
     "make_learner",
     "make_schedule",
-    "mrp_sample_episode",
     "next_alpha",
     "random_chain_mrp",
     "rank_two_eigenvalues",

@@ -81,7 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(flag_value: str | None) -> Path:
     path = Path(flag_value or os.environ.get("IMPLICIT_TD_OUT") or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {path}: {err}") from None
     return path
 
 

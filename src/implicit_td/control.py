@@ -16,13 +16,14 @@ import numpy as np
 
 from .core import Transition, update_trace
 from .envs import DiscreteActionEnv
-from .learners import TdLearnerState, TdStepRecord, td_step_implicit, td_step_standard
+from .learners import TdLearnerState, td_step_implicit, td_step_standard
 from .stepsize import StepSizeSchedule, next_alpha, reset_schedule
 
 VARIANTS = ("standard", "implicit")
 
-# hook called after each applied step: (transition, alpha, trace used, record)
-StepHook = Callable[[Transition, float, np.ndarray, TdStepRecord], None]
+# hook called after each learner step with (transition, alpha, e): e is the
+# trace the update used, gamma*lambda*(trace before the step) + phi_t
+StepHook = Callable[[Transition, float, np.ndarray], None]
 
 
 @dataclass(slots=True)
@@ -105,6 +106,7 @@ def sarsa_episode(
     disc = learner.disc
     step_fn = td_step_implicit if agent.variant == "implicit" else td_step_standard
     sched = agent.schedule
+    need_trace = sched.kind == "alpha_bound" or on_step is not None
     reset_schedule(sched)  # the adaptive bound is episode-scoped, like the trace
     learner.trace = np.zeros(learner.k)
     n_actions = agent.n_actions
@@ -131,19 +133,14 @@ def sarsa_episode(
             sphi_next = stack_features(phi, action, n_actions)
             tr = Transition(phi_t=sphi, reward=reward, phi_next=sphi_next)
 
-        if sched.kind == "alpha_bound":
-            e_entering = update_trace(learner.trace, sphi, disc)
-        else:
-            e_entering = sphi  # only alpha_bound reads the trace argument
-        alpha = next_alpha(
-            sched, learner.step_count, e_entering, sphi, sphi_next, disc.gamma
-        )
-        trace_in = learner.trace if on_step is not None else None
-        _, rec = step_fn(learner, tr, alpha)
+        # the trace entering the update; only alpha_bound and the hook read it
+        e = update_trace(learner.trace, sphi, disc) if need_trace else sphi
+        alpha = next_alpha(sched, learner.step_count, e, sphi, sphi_next, disc.gamma)
+        step_max_abs = step_fn(learner, tr, alpha)
         if on_step is not None:
-            on_step(tr, alpha, update_trace(trace_in, sphi, disc), rec)
-        if rec.max_weight_abs > max_weight_abs:
-            max_weight_abs = rec.max_weight_abs
+            on_step(tr, alpha, e)
+        if step_max_abs > max_weight_abs:
+            max_weight_abs = step_max_abs
         if learner.diverged:
             return EpisodeStats(total, steps, True, done, max_weight_abs)
         if done:

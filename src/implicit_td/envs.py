@@ -10,7 +10,9 @@ two-state cycle used as a hand-checkable test bed has period 2.
 The two benchmark environments are small mutable state machines with a
 shared interface: `reset(seed) -> obs`, `step(action) -> (obs, reward,
 done)`, observations already normalized to the unit box so they can go
-straight into `fourier_features`.
+straight into `fourier_features`. Their physical constants are the module
+constants PUDDLE_* and CART_*; `done` is also set when an episode reaches
+its step cap.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Protocol
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import DimensionMismatchError, Transition, as_vector
+from .core import DimensionMismatchError
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +137,6 @@ def stationary_distribution(mrp: FiniteMrp) -> np.ndarray:
     return np.clip(xi, 0.0, None) / xi.sum()
 
 
-def mrp_sample_episode(mrp: FiniteMrp, horizon: int, seed: int) -> list[Transition]:
-    """Sample `horizon` continuing transitions (xi0 start, then P)."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    rng = np.random.default_rng(seed)
-    states = sample_state_path(mrp, horizon + 1, rng)
-    return [
-        Transition(
-            phi_t=mrp.features[states[t]],
-            reward=float(mrp.r[states[t]]),
-            phi_next=mrp.features[states[t + 1]],
-        )
-        for t in range(horizon)
-    ]
-
-
 def sample_state_path(
     mrp: FiniteMrp, length: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -190,65 +176,60 @@ def _segment_distance(
     return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True, slots=True)
-class PuddleWorldConfig:
-    """All puddle-world constants in one place."""
-
-    move: float = 0.05
-    noise_sigma: float = 0.01
-    radius: float = 0.1
-    penalty_scale: float = 400.0
-    goal_threshold: float = 1.8  # terminate when x + y >= this
-    episode_cap: int = 1000
-    # capsule axes as (ax, ay, bx, by)
-    capsules: tuple[tuple[float, float, float, float], ...] = (
-        (0.10, 0.75, 0.45, 0.75),
-        (0.45, 0.40, 0.45, 0.80),
-    )
+PUDDLE_MOVE = 0.05
+PUDDLE_NOISE_SIGMA = 0.01
+PUDDLE_RADIUS = 0.1
+PUDDLE_PENALTY_SCALE = 400.0
+PUDDLE_GOAL_THRESHOLD = 1.8  # terminate when x + y >= this
+PUDDLE_EPISODE_CAP = 1000
+# capsule axes as (ax, ay, bx, by)
+PUDDLE_CAPSULES = (
+    (0.10, 0.75, 0.45, 0.75),
+    (0.45, 0.40, 0.45, 0.80),
+)
+# (dx, dy) of actions up, down, left, right
+_PUDDLE_MOVES = (
+    (0.0, PUDDLE_MOVE), (0.0, -PUDDLE_MOVE), (-PUDDLE_MOVE, 0.0), (PUDDLE_MOVE, 0.0)
+)
 
 
 class PuddleWorld:
     """2-D navigation with two capsule-shaped puddles and a corner goal.
 
-    Actions 0..3 move up/down/left/right by `move` plus Gaussian noise on
-    both coordinates, clamped to the unit square. Each step costs -1 plus
-    penalty_scale times the deepest puddle intrusion; the step that lands in
-    the goal region contributes 0 and ends the episode.
+    Actions 0..3 move up/down/left/right by PUDDLE_MOVE plus Gaussian noise
+    on both coordinates, clamped to the unit square. Each step costs -1 plus
+    PUDDLE_PENALTY_SCALE times the deepest puddle intrusion; the step that
+    lands in the goal region contributes 0 and ends the episode.
     """
 
     n_actions = 4
     obs_dim = 2
 
-    def __init__(self, config: PuddleWorldConfig | None = None) -> None:
-        self.config = config or PuddleWorldConfig()
+    def __init__(self) -> None:
         self._x = 0.0
         self._y = 0.0
         self._rng: np.random.Generator | None = None
         self._steps = 0
         self.done = True
-        self.truncated = False
 
     def _obs(self) -> np.ndarray:
         return np.array([self._x, self._y])
 
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
-        cfg = self.config
         while True:
             x, y = self._rng.random(2)
-            if x + y < cfg.goal_threshold:
+            if x + y < PUDDLE_GOAL_THRESHOLD:
                 break
         self._x, self._y = float(x), float(y)
         self._steps = 0
         self.done = False
-        self.truncated = False
         return self._obs()
 
     def puddle_depth(self, x: float, y: float) -> float:
-        cfg = self.config
         depth = 0.0
-        for ax, ay, bx, by in cfg.capsules:
-            d = cfg.radius - _segment_distance(x, y, ax, ay, bx, by)
+        for ax, ay, bx, by in PUDDLE_CAPSULES:
+            d = PUDDLE_RADIUS - _segment_distance(x, y, ax, ay, bx, by)
             if d > depth:
                 depth = d
         return depth
@@ -258,42 +239,38 @@ class PuddleWorld:
             raise RuntimeError("step() called on a finished episode; reset first")
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action must be in [0, {self.n_actions}), got {action}")
-        cfg = self.config
-        dx, dy = ((0.0, cfg.move), (0.0, -cfg.move), (-cfg.move, 0.0), (cfg.move, 0.0))[
-            action
-        ]
+        dx, dy = _PUDDLE_MOVES[action]
         assert self._rng is not None
-        nx, ny = self._rng.normal(0.0, cfg.noise_sigma, size=2)
+        nx, ny = self._rng.normal(0.0, PUDDLE_NOISE_SIGMA, size=2)
         self._x = min(1.0, max(0.0, self._x + dx + float(nx)))
         self._y = min(1.0, max(0.0, self._y + dy + float(ny)))
         self._steps += 1
-        if self._x + self._y >= cfg.goal_threshold:
+        if self._x + self._y >= PUDDLE_GOAL_THRESHOLD:
             self.done = True
             return self._obs(), 0.0, True
-        reward = -1.0 - cfg.penalty_scale * self.puddle_depth(self._x, self._y)
-        if self._steps >= cfg.episode_cap:
+        reward = -1.0 - PUDDLE_PENALTY_SCALE * self.puddle_depth(self._x, self._y)
+        if self._steps >= PUDDLE_EPISODE_CAP:
             self.done = True
-            self.truncated = True
         return self._obs(), reward, self.done
 
 
-@dataclass(frozen=True, slots=True)
-class CartPoleConfig:
-    """All cart-pole constants in one place."""
-
-    gravity: float = 9.8
-    cart_mass: float = 1.0
-    pole_mass: float = 0.1
-    half_length: float = 0.5
-    force: float = 10.0
-    dt: float = 0.02
-    x_limit: float = 2.4
-    theta_limit: float = 12.0 * math.pi / 180.0
-    # velocity box used only for observation normalization
-    xdot_limit: float = 3.0
-    thetadot_limit: float = 3.5
-    episode_cap: int = 3000
-    reset_spread: float = 0.05
+CART_GRAVITY = 9.8
+CART_MASS = 1.0
+CART_POLE_MASS = 0.1
+CART_POLE_HALF_LENGTH = 0.5
+CART_FORCE = 10.0
+CART_DT = 0.02
+CART_X_LIMIT = 2.4
+CART_THETA_LIMIT = 12.0 * math.pi / 180.0
+# velocity box used only for observation normalization
+CART_XDOT_LIMIT = 3.0
+CART_THETADOT_LIMIT = 3.5
+CART_EPISODE_CAP = 3000
+CART_RESET_SPREAD = 0.05
+_CART_TOTAL_MASS = CART_MASS + CART_POLE_MASS
+_CART_POLE_ML = CART_POLE_MASS * CART_POLE_HALF_LENGTH
+_CART_OBS_HI = (CART_X_LIMIT, CART_XDOT_LIMIT, CART_THETA_LIMIT, CART_THETADOT_LIMIT)
+_CART_OBS_LO = tuple(-h for h in _CART_OBS_HI)
 
 
 class CartPole:
@@ -307,33 +284,25 @@ class CartPole:
     n_actions = 2
     obs_dim = 4
 
-    def __init__(self, config: CartPoleConfig | None = None) -> None:
-        self.config = config or CartPoleConfig()
+    def __init__(self) -> None:
         self._s = (0.0, 0.0, 0.0, 0.0)
         self._steps = 0
         self.done = True
-        self.truncated = False
 
     def _obs(self) -> np.ndarray:
-        cfg = self.config
-        x, xd, th, thd = self._s
-        lo = (-cfg.x_limit, -cfg.xdot_limit, -cfg.theta_limit, -cfg.thetadot_limit)
-        hi = (cfg.x_limit, cfg.xdot_limit, cfg.theta_limit, cfg.thetadot_limit)
-        vals = (x, xd, th, thd)
         return np.array(
             [
                 min(1.0, max(0.0, (v - l) / (h - l)))
-                for v, l, h in zip(vals, lo, hi)
+                for v, l, h in zip(self._s, _CART_OBS_LO, _CART_OBS_HI)
             ]
         )
 
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        spread = self.config.reset_spread
-        self._s = tuple(float(v) for v in rng.uniform(-spread, spread, size=4))
+        start = rng.uniform(-CART_RESET_SPREAD, CART_RESET_SPREAD, size=4)
+        self._s = tuple(float(v) for v in start)
         self._steps = 0
         self.done = False
-        self.truncated = False
         return self._obs()
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
@@ -341,27 +310,26 @@ class CartPole:
             raise RuntimeError("step() called on a finished episode; reset first")
         if action not in (0, 1):
             raise ValueError(f"action must be 0 or 1, got {action}")
-        cfg = self.config
         x, xd, th, thd = self._s
-        force = cfg.force if action == 1 else -cfg.force
-        total_mass = cfg.cart_mass + cfg.pole_mass
-        pole_ml = cfg.pole_mass * cfg.half_length
+        force = CART_FORCE if action == 1 else -CART_FORCE
+        total_mass = _CART_TOTAL_MASS
+        pole_ml = _CART_POLE_ML
         sin_th, cos_th = math.sin(th), math.cos(th)
         temp = (force + pole_ml * thd * thd * sin_th) / total_mass
-        th_acc = (cfg.gravity * sin_th - cos_th * temp) / (
-            cfg.half_length * (4.0 / 3.0 - cfg.pole_mass * cos_th * cos_th / total_mass)
+        th_acc = (CART_GRAVITY * sin_th - cos_th * temp) / (
+            CART_POLE_HALF_LENGTH
+            * (4.0 / 3.0 - CART_POLE_MASS * cos_th * cos_th / total_mass)
         )
         x_acc = temp - pole_ml * th_acc * cos_th / total_mass
-        x += cfg.dt * xd
-        xd += cfg.dt * x_acc
-        th += cfg.dt * thd
-        thd += cfg.dt * th_acc
+        x += CART_DT * xd
+        xd += CART_DT * x_acc
+        th += CART_DT * thd
+        thd += CART_DT * th_acc
         self._s = (x, xd, th, thd)
         self._steps += 1
-        if abs(x) > cfg.x_limit or abs(th) > cfg.theta_limit:
+        if abs(x) > CART_X_LIMIT or abs(th) > CART_THETA_LIMIT:
             self.done = True
             return self._obs(), 0.0, True
-        if self._steps >= cfg.episode_cap:
+        if self._steps >= CART_EPISODE_CAP:
             self.done = True
-            self.truncated = True
         return self._obs(), 1.0, self.done

@@ -40,7 +40,6 @@ from .learners import (
     td_fixed_point_oracle,
     td_step_implicit,  # not called here; kept for bench/layers.py, which rebinds it
     td_step_standard,  # not called here; kept for bench/layers.py, which rebinds it
-    TdStepRecord,
 )
 from .stability import TransitionGeometry, audit_step
 from .stepsize import StepSizeSchedule, make_schedule, next_alpha
@@ -309,9 +308,9 @@ def run_td_evaluation(
     The state path is presampled from default_rng(seed). Every step takes
     its alpha from next_alpha and applies the learner's kernel
     (implicit_step or standard_step) to plain arrays. When on_step is set it
-    is called after each step with (Transition, alpha, trace used,
-    TdStepRecord); those objects are built only for the hook, which observes
-    and never changes the result.
+    is called after each step with (Transition, alpha, trace used); the
+    Transition is built only for the hook, which observes and never changes
+    the result.
 
     Divergence (non-finite weights, or max-abs weight above
     DIVERGENCE_THRESHOLD) and the optional early-exit target are checked
@@ -335,40 +334,37 @@ def run_td_evaluation(
     diverged = False
     steps_done = 0
     phi2 = feats[path[0]]
-    for t in range(total_steps):
-        phi = phi2
-        phi2 = feats[path[t + 1]]
-        reward = float(rewards[t])
-        # only alpha_bound reads the trace argument: the trace entering this step
-        e_in = update_trace(e, phi, disc) if alpha_bound else phi
-        alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
-        w, e, bracket = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
-        if on_step is not None:
-            td_error = bracket - float(e @ w) if implicit else bracket
-            on_step(
-                Transition(phi_t=phi, reward=reward, phi_next=phi2),
-                alpha,
-                e,
-                TdStepRecord(td_error, alpha, float(e @ e), float(np.max(np.abs(w)))),
-            )
-        steps_done = t + 1
-        if steps_done % CHECK_EVERY == 0 or steps_done == total_steps:
-            if not np.isfinite(w).all():
-                diverged = True
-                max_abs = max(max_abs, _NONFINITE_NORM)
-                break
-            cur = float(np.max(np.abs(w)))
-            if cur > max_abs:
-                max_abs = cur
-            if cur > DIVERGENCE_THRESHOLD:
-                diverged = True
-                break
-            if (
-                target_weights is not None
-                and target_tol is not None
-                and float(np.max(np.abs(w - target_weights))) <= target_tol
-            ):
-                break
+    # a diverging run keeps stepping on overflowed weights until the next
+    # check; those steps' overflow is expected, not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(total_steps):
+            phi = phi2
+            phi2 = feats[path[t + 1]]
+            reward = float(rewards[t])
+            # only alpha_bound reads the trace argument: the trace entering this step
+            e_in = update_trace(e, phi, disc) if alpha_bound else phi
+            alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
+            w, e = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
+            if on_step is not None:
+                on_step(Transition(phi_t=phi, reward=reward, phi_next=phi2), alpha, e)
+            steps_done = t + 1
+            if steps_done % CHECK_EVERY == 0 or steps_done == total_steps:
+                if not np.isfinite(w).all():
+                    diverged = True
+                    max_abs = max(max_abs, _NONFINITE_NORM)
+                    break
+                cur = float(np.max(np.abs(w)))
+                if cur > max_abs:
+                    max_abs = cur
+                if cur > DIVERGENCE_THRESHOLD:
+                    diverged = True
+                    break
+                if (
+                    target_weights is not None
+                    and target_tol is not None
+                    and float(np.max(np.abs(w - target_weights))) <= target_tol
+                ):
+                    break
     return TdEvalResult(
         weights=w,
         steps_completed=steps_done,
@@ -564,7 +560,7 @@ def stability_audit_run(
     rows: list[AuditRow] = []
     count = 0
 
-    def hook(tr: Transition, alpha: float, e_used: np.ndarray, rec: TdStepRecord) -> None:
+    def hook(tr: Transition, alpha: float, e_used: np.ndarray) -> None:
         nonlocal count
         count += 1
         if count % sample_every:

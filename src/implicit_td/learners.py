@@ -16,12 +16,13 @@ update.
 Each rule is written once, as an array-level kernel (standard_step,
 implicit_step). The TD-evaluation driver calls the kernels directly;
 td_step_standard and td_step_implicit wrap them with input checks and the
-divergence contract below.
+divergence contract below, and return the max-abs weight after the step.
 
 Divergence contract: a step that would produce non-finite weights sets the
 `diverged` flag and leaves the state otherwise untouched; a finite result
 whose max-abs exceeds DIVERGENCE_THRESHOLD is applied and then flagged.
-Flagged learners ignore further steps.
+Flagged learners ignore further steps. A rejected or ignored step returns
+the max-abs of the weights it left in place.
 """
 
 from __future__ import annotations
@@ -50,17 +51,6 @@ class TdLearnerState:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True, slots=True)
-class TdStepRecord:
-    """Per-step scalars: the applied update's bracketed error, alpha, ||e||^2,
-    and the post-step max-abs weight (pre-step when the step was rejected)."""
-
-    td_error: float
-    alpha_used: float
-    trace_norm_sq: float
-    max_weight_abs: float
-
-
 def make_learner(
     k: int, disc: DiscountSpec, w0: np.ndarray | None = None
 ) -> TdLearnerState:
@@ -75,51 +65,39 @@ def make_learner(
     return TdLearnerState(weights=weights, trace=np.zeros(k), disc=disc)
 
 
-def _noop_record(state: TdLearnerState) -> TdStepRecord:
-    return TdStepRecord(0.0, 0.0, 0.0, float(np.max(np.abs(state.weights))))
-
-
 def _commit(
-    state: TdLearnerState,
-    tr: Transition,
-    alpha: float,
-    e: np.ndarray,
-    td_error: float,
-    w_new: np.ndarray,
-) -> tuple[TdLearnerState, TdStepRecord]:
-    trace_norm_sq = float(e @ e)
+    state: TdLearnerState, terminal: bool, e: np.ndarray, w_new: np.ndarray
+) -> float:
     if not np.isfinite(w_new).all():
         state.diverged = True
-        return state, TdStepRecord(
-            td_error, alpha, trace_norm_sq, float(np.max(np.abs(state.weights)))
-        )
+        return float(np.max(np.abs(state.weights)))
     state.weights = w_new
-    state.trace = np.zeros_like(e) if tr.terminal else e
+    state.trace = np.zeros_like(e) if terminal else e
     state.step_count += 1
     max_abs = float(np.max(np.abs(w_new)))
     if max_abs > DIVERGENCE_THRESHOLD:
         state.diverged = True
-    return state, TdStepRecord(td_error, alpha, trace_norm_sq, max_abs)
+    return max_abs
 
 
 def standard_step(
     w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
     reward: float, alpha: float, gamma: float, decay: float, terminal: bool,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Standard TD(lambda) kernel on plain arrays and floats, without
-    validation: returns (w', e, delta). `decay` is gamma*lambda."""
+    validation: returns (w', e). `decay` is gamma*lambda."""
     e = e_prev * decay
     e += phi
     bootstrap = 0.0 if terminal else gamma * float(phi_next @ w)
     delta = reward + bootstrap - float(phi @ w)
-    return w + (alpha * delta) * e, e, delta
+    return w + (alpha * delta) * e, e
 
 
 def implicit_step(
     w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
     reward: float, alpha: float, gamma: float, decay: float, terminal: bool,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Implicit TD(lambda) kernel via the rank-one inverse: returns (w', e, b).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit TD(lambda) kernel via the rank-one inverse: returns (w', e).
 
     With b = r + gamma*phi'.w + gamma*lambda*(e_prev.w), the fixed point of
     w' = w + alpha*(b - e.w')*e is
@@ -133,42 +111,39 @@ def implicit_step(
     bracket = reward + bootstrap + decay * float(e_prev @ w)
     u = w + (alpha * bracket) * e
     shrink = alpha / (1.0 + alpha * float(e @ e))
-    return u - (shrink * float(e @ u)) * e, e, bracket
+    return u - (shrink * float(e @ u)) * e, e
 
 
-def td_step_standard(
-    state: TdLearnerState, tr: Transition, alpha: float
-) -> tuple[TdLearnerState, TdStepRecord]:
-    """One accumulating-trace TD(lambda) step. Mutates and returns `state`."""
+def td_step_standard(state: TdLearnerState, tr: Transition, alpha: float) -> float:
+    """One accumulating-trace TD(lambda) step. Mutates `state` and returns
+    its max-abs weight."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
-        return state, _noop_record(state)
+        return float(np.max(np.abs(state.weights)))
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
-    w_new, e, delta = standard_step(
+    w_new, e = standard_step(
         state.weights, state.trace, tr.phi_t, tr.phi_next, tr.reward,
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
     )
-    return _commit(state, tr, alpha, e, delta, w_new)
+    return _commit(state, tr.terminal, e, w_new)
 
 
-def td_step_implicit(
-    state: TdLearnerState, tr: Transition, alpha: float
-) -> tuple[TdLearnerState, TdStepRecord]:
-    """One implicit TD(lambda) step (see implicit_step). Mutates and returns
-    `state`; the recorded td_error is b - e.w', the applied update's bracket."""
+def td_step_implicit(state: TdLearnerState, tr: Transition, alpha: float) -> float:
+    """One implicit TD(lambda) step (see implicit_step). Mutates `state` and
+    returns its max-abs weight."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
-        return state, _noop_record(state)
+        return float(np.max(np.abs(state.weights)))
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
-    w_new, e, bracket = implicit_step(
+    w_new, e = implicit_step(
         state.weights, state.trace, tr.phi_t, tr.phi_next, tr.reward,
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
     )
-    return _commit(state, tr, alpha, e, bracket - float(e @ w_new), w_new)
+    return _commit(state, tr.terminal, e, w_new)
 
 
 def td_step_implicit_oracle(
@@ -200,14 +175,14 @@ SERIES_TERM_CAP = 10**6
 
 
 def td_fixed_point_oracle(mrp: FiniteMrp, disc: DiscountSpec) -> np.ndarray:
-    """w* of linear TD(lambda) on a finite MRP, by truncated matrix series.
+    """w* of linear TD(lambda) on a finite MRP, by a cut-off matrix series.
 
     Solves A w* = b with
 
         A = Phi^T D S (I - gamma P) Phi,   b = Phi^T D S r,
         S = sum_{m>=0} (gamma*lambda*P)^m,  D = diag(stationary distribution).
 
-    The series is truncated when the next term's max-abs falls below
+    The series stops when the next term's max-abs falls below
     SERIES_TOL; gamma*lambda < 1 makes the decay geometric.
     """
     xi = stationary_distribution(mrp)

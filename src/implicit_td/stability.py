@@ -32,16 +32,6 @@ from .core import check_same_length
 DENSE_ORACLE_MAX_K = 64
 
 
-class FormulaDomainError(ArithmeticError):
-    """A closed-form eigenvalue expression was evaluated outside its domain.
-
-    The discriminant of the gain-matrix eigenvalue pair is provably
-    nonnegative for Gram matrices; if this error ever triggers on finite
-    input it indicates a genuine numerical anomaly worth reporting, not a
-    user mistake.
-    """
-
-
 @dataclass(frozen=True, slots=True)
 class TransitionGeometry:
     """The quantities one audit needs: trace e, TD direction d, step-size."""
@@ -104,14 +94,14 @@ def compute_beta(alpha: float, e: np.ndarray) -> float:
 def _gram_eig_pair(
     a: float, e_norm_sq: float, d_norm_sq: float, e_dot_d: float
 ) -> tuple[float, float]:
-    """Eigenvalue pair of (I - a*e*d^T)(I - a*e*d^T)^T beyond the unit ones."""
+    """Eigenvalue pair of (I - a*e*d^T)(I - a*e*d^T)^T beyond the unit ones.
+
+    The discriminant equals (a|e||d| - 2)^2 + 4a(|e||d| - e.d) >= 0 in exact
+    arithmetic. On the boundary e = d, a|e|^2 = 2 rounding can take it just
+    below zero, so it is clamped at 0.
+    """
     prod = a * a * e_norm_sq * d_norm_sq
-    disc = prod + 4.0 - 4.0 * a * e_dot_d
-    if disc < 0.0:
-        raise FormulaDomainError(
-            f"negative discriminant {disc!r} for a={a!r}, |e|^2={e_norm_sq!r}, "
-            f"|d|^2={d_norm_sq!r}, e.d={e_dot_d!r}"
-        )
+    disc = max(prod + 4.0 - 4.0 * a * e_dot_d, 0.0)
     half_spread = 0.5 * a * math.sqrt(e_norm_sq * d_norm_sq) * math.sqrt(disc)
     center = 1.0 + 0.5 * (prod - 2.0 * a * e_dot_d)
     return center + half_spread, center - half_spread

@@ -226,7 +226,7 @@ def test_criterion_6_contraction_dominance_audit():
     gamma = config.gamma
     geoms = []
 
-    def capture(tr, alpha, e_used, rec):
+    def capture(tr, alpha, e_used):
         geoms.append((e_used, tr.phi_t - gamma * tr.phi_next, alpha))
 
     run_cell(config, 0.5, 0, on_step=capture)

@@ -43,6 +43,13 @@ def test_bad_config_key_is_a_config_error(tmp_path):
     assert cli.main(["sweep", str(path)]) == 2
 
 
+def test_unusable_out_is_a_config_error(config_path, tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert cli.main(["sweep", config_path, "--out", str(blocker / "x")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_internal_error_exits_three(config_path, monkeypatch):
     # a DimensionMismatchError is a ValueError, but a fault of the program, not of the config
     for err in (RuntimeError("induced"), DimensionMismatchError("induced")):

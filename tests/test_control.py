@@ -118,6 +118,37 @@ def test_max_steps_budget_cuts_episode():
     assert not stats.terminated
 
 
+@pytest.mark.parametrize("kind", ["constant", "alpha_bound"])
+def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
+    # the hook's e is update_trace(trace before the step, phi_t), bit for bit,
+    # and it is the only trace sarsa_episode computes per step
+    from implicit_td import control
+
+    calls = []
+    real = control.update_trace
+
+    def counting(e_prev, phi, disc):
+        calls.append(1)
+        return real(e_prev, phi, disc)
+
+    monkeypatch.setattr(control, "update_trace", counting)
+    basis = make_fourier_basis(order=1, dims=4)
+    agent = make_agent(basis.k, 2, kind=kind, alpha0=0.5)
+    agent.featurize = lambda obs: fourier_features(basis, obs)
+    disc = agent.learner.disc
+    trace_before = [np.zeros(agent.learner.k)]
+    seen = []
+
+    def hook(tr, alpha, e):
+        assert np.array_equal(e, real(trace_before[0], tr.phi_t, disc))
+        trace_before[0] = agent.learner.trace.copy()
+        seen.append(tr)
+
+    stats = sarsa_episode(agent, CartPole(), seed=4, on_step=hook)
+    assert stats.terminated and seen[-1].terminal
+    assert len(seen) == stats.steps == len(calls)
+
+
 class _SinglePolicyEnv:
     """CartPole wrapper with one action: the agent's choice is forced."""
 
@@ -147,7 +178,7 @@ def test_single_action_episode_is_td_evaluation():
         _SinglePolicyEnv(),
         seed=5,
         max_steps=50,
-        on_step=lambda tr, alpha, e, rec: seen.append(tr),
+        on_step=lambda tr, alpha, e: seen.append(tr),
     )
 
     manual = make_learner(basis.k, disc)
@@ -183,7 +214,7 @@ def test_tiny_alpha_gives_identical_action_sequences():
             CartPole(),
             seed=11,
             max_steps=100,
-            on_step=lambda tr, alpha, e, rec: acts.append(int(np.argmax(np.abs(tr.phi_t)) // basis.k)),
+            on_step=lambda tr, alpha, e: acts.append(int(np.argmax(np.abs(tr.phi_t)) // basis.k)),
         )
         return acts
 

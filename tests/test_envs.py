@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from implicit_td import envs
 from implicit_td.core import DimensionMismatchError
 from implicit_td.envs import (
     CartPole,
@@ -12,7 +13,6 @@ from implicit_td.envs import (
     PuddleWorld,
     fourier_features,
     make_fourier_basis,
-    mrp_sample_episode,
     random_chain_mrp,
     sample_state_path,
     stationary_distribution,
@@ -100,11 +100,11 @@ def test_periodic_but_irreducible_chain_accepted():
 
 def test_mrp_episode_horizon_and_determinism():
     mrp = random_chain_mrp(3, seed=1)
-    assert len(mrp_sample_episode(mrp, horizon=1, seed=0)) == 1
-    a = mrp_sample_episode(mrp, horizon=20, seed=5)
-    b = mrp_sample_episode(mrp, horizon=20, seed=5)
-    for ta, tb in zip(a, b):
-        assert np.array_equal(ta.phi_t, tb.phi_t) and ta.reward == tb.reward
+    assert len(sample_state_path(mrp, 1, np.random.default_rng(0))) == 1
+    a = sample_state_path(mrp, 21, np.random.default_rng(5))
+    b = sample_state_path(mrp, 21, np.random.default_rng(5))
+    assert len(a) == 21
+    assert np.array_equal(a, b)
 
 
 def test_mrp_episode_cycle_alternates():
@@ -113,12 +113,12 @@ def test_mrp_episode_cycle_alternates():
         n_states=2, p=p, r=np.array([1.0, 0.0]), xi0=np.array([1.0, 0.0]),
         features=np.eye(2),
     )
-    episode = mrp_sample_episode(mrp, horizon=6, seed=3)
-    for i, tr in enumerate(episode):
+    path = sample_state_path(mrp, 7, np.random.default_rng(3))
+    for i in range(6):
         state = i % 2
-        assert tr.phi_t[state] == 1.0
-        assert tr.phi_next[1 - state] == 1.0
-        assert tr.reward == mrp.r[state]
+        assert mrp.features[path[i]][state] == 1.0
+        assert mrp.features[path[i + 1]][1 - state] == 1.0
+        assert mrp.r[path[i]] == mrp.r[state]
 
 
 def test_state_path_frequencies_match_stationary():
@@ -198,23 +198,23 @@ def test_puddle_positions_stay_in_unit_square():
 # --- cart-pole
 
 
-def _integrate_cartpole(cfg, substeps, n_steps):
+def _integrate_cartpole(substeps, n_steps):
     # independent re-derivation of the dynamics, Euler at dt/substeps
     def accel(s, force):
         x, xd, th, thd = s
-        total = cfg.cart_mass + cfg.pole_mass
-        pole_ml = cfg.pole_mass * cfg.half_length
+        total = envs.CART_MASS + envs.CART_POLE_MASS
+        pole_ml = envs.CART_POLE_MASS * envs.CART_POLE_HALF_LENGTH
         sin, cos = math.sin(th), math.cos(th)
         temp = (force + pole_ml * thd * thd * sin) / total
-        th_acc = (cfg.gravity * sin - cos * temp) / (
-            cfg.half_length * (4.0 / 3.0 - cfg.pole_mass * cos * cos / total)
+        th_acc = (envs.CART_GRAVITY * sin - cos * temp) / (
+            envs.CART_POLE_HALF_LENGTH * (4.0 / 3.0 - envs.CART_POLE_MASS * cos * cos / total)
         )
         return temp - pole_ml * th_acc * cos / total, th_acc
 
     s = (0.0, 0.0, 0.0, 0.0)
-    h = cfg.dt / substeps
+    h = envs.CART_DT / substeps
     for i in range(n_steps):
-        force = cfg.force if i % 2 == 1 else -cfg.force
+        force = envs.CART_FORCE if i % 2 == 1 else -envs.CART_FORCE
         for _ in range(substeps):
             x, xd, th, thd = s
             x_acc, th_acc = accel(s, force)
@@ -226,21 +226,20 @@ def test_cartpole_matches_fine_integration():
     # drive the env with alternating forces from the zero state and compare
     # against a reimplementation of the dynamics at two resolutions
     env = CartPole()
-    cfg = env.config
     env.reset(seed=1)
     env._s = (0.0, 0.0, 0.0, 0.0)
     for i in range(20):
         _, _, done = env.step(i % 2)
         assert not done
     x, _, th, _ = env._s
-    assert abs(th) < cfg.theta_limit
+    assert abs(th) < envs.CART_THETA_LIMIT
 
     # at matching resolution the trajectories must agree exactly
-    same = _integrate_cartpole(cfg, substeps=1, n_steps=20)
+    same = _integrate_cartpole(substeps=1, n_steps=20)
     assert env._s == pytest.approx(same, abs=1e-12)
 
     # against a 20x finer grid only discretization error remains
-    fine = _integrate_cartpole(cfg, substeps=20, n_steps=20)
+    fine = _integrate_cartpole(substeps=20, n_steps=20)
     assert th == pytest.approx(fine[2], abs=0.02)
     assert x == pytest.approx(fine[0], abs=0.02)
 

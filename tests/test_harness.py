@@ -1,5 +1,7 @@
 """Config parsing, seed derivation, sweep determinism, CSV emission."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,25 +240,32 @@ def test_csv_refuses_nonfinite(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "alpha0,diverges", [(0.05, False), (1.5, True)], ids=["converging", "diverging"]
+    "alpha0,diverges",
+    [(0.05, False), (1.5, True), (8.0, True)],
+    ids=["converging", "diverging", "overflowing"],
 )
 def test_td_eval_hook_only_observes(alpha0, diverges):
     mrp = random_chain_mrp(5, seed=9)
     disc = DiscountSpec(gamma=0.9, lam=0.5)
     calls = []
-    runs = [
-        run_td_evaluation(
-            mrp, disc, make_schedule("constant", alpha0), 4000, seed=3,
-            implicit=False, on_step=hook,
-        )
-        for hook in (None, lambda tr, alpha, e, rec: calls.append(rec))
-    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = [
+            run_td_evaluation(
+                mrp, disc, make_schedule("constant", alpha0), 4000, seed=3,
+                implicit=False, on_step=hook,
+            )
+            for hook in (None, lambda tr, alpha, e: calls.append(alpha))
+        ]
+    # steps on overflowed weights before the next check are expected, not warned about
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     plain, hooked = runs
     assert np.array_equal(plain.weights, hooked.weights, equal_nan=True)
     assert plain.steps_completed == hooked.steps_completed == len(calls)
     assert plain.diverged == hooked.diverged == diverges
     assert plain.max_weight_abs == hooked.max_weight_abs
-    # standard TD's first divergence here is at step 747; the run stops at the next check
+    # standard TD's first divergence here is at step 747 (alpha0 1.5) or earlier;
+    # the run stops at the next check
     assert plain.steps_completed == (1000 if diverges else 4000)
 
 

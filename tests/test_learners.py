@@ -29,10 +29,11 @@ def transition(phi_t, reward, phi_next, terminal=False):
 def test_standard_step_hand_value():
     # k=1: delta = 0.1 + 0.9*0.8*0.5 - 0.5 = -0.04, w' = 0.5 - 0.5*0.04
     learner = make_learner(1, DiscountSpec(gamma=0.9, lam=0.0), w0=np.array([0.5]))
-    _, rec = td_step_standard(learner, transition([1.0], 0.1, [0.8]), alpha=0.5)
+    max_abs = td_step_standard(learner, transition([1.0], 0.1, [0.8]), alpha=0.5)
     assert learner.weights[0] == pytest.approx(0.48)
-    assert rec.td_error == pytest.approx(-0.04)
-    assert rec.alpha_used == 0.5
+    # w' - w = alpha * delta * e with e = 1
+    assert (learner.weights[0] - 0.5) / 0.5 == pytest.approx(-0.04)
+    assert max_abs == learner.weights[0]
     assert learner.step_count == 1
 
 
@@ -54,10 +55,11 @@ def test_zero_weights_zero_reward_invariant_for_both_rules():
 def test_implicit_step_hand_value_and_standard_contrast():
     disc = DiscountSpec(gamma=1e-12, lam=0.0)  # gamma ~ 0; spec'd limit case
     learner = make_learner(1, disc)
-    _, rec = td_step_implicit(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
+    max_abs = td_step_implicit(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
     assert learner.weights[0] == pytest.approx(0.5)
-    # the applied update's bracketed error is b - e.w' = 1 - 0.5
-    assert rec.td_error == pytest.approx(0.5)
+    # the applied update is alpha * (b - e.w') * e with b = 1, e = 1, w = 0
+    assert learner.weights[0] == pytest.approx(1.0 * (1.0 - learner.weights[0]))
+    assert max_abs == learner.weights[0]
 
     learner = make_learner(1, disc)
     td_step_standard(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
@@ -145,9 +147,9 @@ def test_terminal_zeroes_bootstrap_and_resets_trace():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
     learner = make_learner(2, disc, w0=np.array([1.0, 1.0]))
     tr = transition([1.0, 0.0], 2.0, [0.0, 0.0], terminal=True)
-    _, rec = td_step_standard(learner, tr, alpha=0.5)
-    # delta = r - phi.w = 2 - 1, no bootstrap term
-    assert rec.td_error == pytest.approx(1.0)
+    td_step_standard(learner, tr, alpha=0.5)
+    # delta = r - phi.w = 2 - 1, no bootstrap term: w' = w + 0.5 * 1 * e
+    assert learner.weights == pytest.approx([1.5, 1.0])
     assert np.array_equal(learner.trace, [0.0, 0.0])
 
 
@@ -173,18 +175,19 @@ def test_divergence_threshold_flags_and_freezes():
     td_step_standard(learner, tr, alpha=1.0)
     assert learner.diverged
     frozen = learner.weights.copy()
-    state, rec = td_step_standard(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
-    assert np.array_equal(state.weights, frozen)
-    assert rec.alpha_used == 0.0  # no-op record
+    max_abs = td_step_standard(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
+    assert np.array_equal(learner.weights, frozen)
+    assert max_abs == float(np.max(np.abs(frozen)))  # the pre-step value
 
 
 def test_nonfinite_candidate_rejected_state_unchanged():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
     learner = make_learner(1, disc, w0=np.array([1.0]))
     learner.weights = np.array([1e308])
-    td_step_standard(learner, transition([1.0], 0.0, [-1.0]), alpha=1e6)
+    max_abs = td_step_standard(learner, transition([1.0], 0.0, [-1.0]), alpha=1e6)
     assert learner.diverged
     assert learner.weights[0] == 1e308  # candidate was discarded
+    assert max_abs == 1e308  # the pre-step value
     assert learner.step_count == 0
 
 

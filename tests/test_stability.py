@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from implicit_td.stability import (
-    FormulaDomainError,
     StabilityReport,
     TransitionGeometry,
     audit_step,
@@ -87,13 +86,21 @@ def test_pair_ordering_and_domain():
         assert lp >= lm >= 0.0
 
 
-def test_negative_discriminant_rejected():
-    # the discriminant a^2 e^2 d^2 + 4 - 4 a e.d needs e.d > 1/a + (a e^2 d^2)/4;
-    # unreachable via Cauchy-Schwarz for real vectors, so force it directly
-    with pytest.raises(FormulaDomainError):
-        from implicit_td.stability import _gram_eig_pair
-
-        _gram_eig_pair(1.0, 1.0, 1.0, 10.0)
+def test_discriminant_boundary_e_equals_d():
+    # a terminal step with lambda = 0 has e = d = phi. At alpha*|e|^2 = 2 the
+    # standard gain is I - 2 e e^T/|e|^2, a reflection, so its pair is (1, 1)
+    # and the discriminant is 0 in exact arithmetic; rounding may take it
+    # below 0. The implicit gain scales e by 1 - 2/3, so its pair is (1, 1/9).
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        k = int(rng.integers(2, 64))
+        e = rng.normal(size=k)
+        report = audit_step(TransitionGeometry(e=e, d=e.copy(), alpha=2.0 / float(e @ e)))
+        # a discriminant of rounding size eps gives a spread of sqrt(eps)
+        assert report.lam_plus == pytest.approx(1.0, abs=1e-6)
+        assert report.lam_minus == pytest.approx(1.0, abs=1e-6)
+        assert report.lam_im_plus == pytest.approx(1.0, abs=1e-12)
+        assert report.lam_im_minus == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
 def test_rank_two_eigenvalues_examples():
