@@ -15,6 +15,7 @@ environment variable, else the working directory. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -122,6 +123,8 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         raise ConfigError(f"--states must be >= 2, got {args.states}")
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     disc = DiscountSpec(gamma=args.gamma, lam=args.lam)
     report = fixed_point_check(
         args.states, args.seed, disc, args.steps, target_tol=args.tol

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -138,19 +139,32 @@ def stationary_distribution(mrp: FiniteMrp) -> np.ndarray:
 
 
 def sample_state_path(
-    mrp: FiniteMrp, length: int, rng: np.random.Generator
+    mrp: FiniteMrp, length: int, rng: np.random.Generator, start: int | None = None
 ) -> np.ndarray:
-    """Vectorized state-index path: one uniform draw per step via inverse CDF."""
-    cdf = np.cumsum(mrp.p, axis=1)
+    """The next `length` states of a path, from one rng.random(length) draw.
+
+    Each state is the inverse CDF of its predecessor's row of P at one
+    uniform: bisect_right over the row as a list, the same index that
+    searchsorted(side="right") gives. The first state's predecessor is
+    `start`; without it the first state is drawn from xi0.
+
+    Continuation: PCG64 does not buffer doubles, so a call with
+    start=path[-1] on the same generator returns exactly the states that
+    one longer call would have returned after `path`. A path can therefore
+    be drawn block by block, as far as it is used.
+    """
+    n = mrp.n_states
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start must lie in [0, {n}), got {start}")
+    # row n is xi0, the predecessor row of a path's first state
+    cdf = np.cumsum(np.vstack([mrp.p, mrp.xi0]), axis=1)
     cdf[:, -1] = 1.0
-    u = rng.random(length)
-    path = np.empty(length, dtype=np.int64)
-    path[0] = int(np.searchsorted(np.cumsum(mrp.xi0), u[0], side="right"))
-    s = path[0]
-    for t in range(1, length):
-        s = int(np.searchsorted(cdf[s], u[t], side="right"))
-        path[t] = s
-    return path
+    rows = cdf.tolist()
+    s = n if start is None else start
+    path = [s := bisect_right(rows[s], u) for u in rng.random(length).tolist()]
+    return np.array(path, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ comma, so there is no quoting.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -305,12 +306,17 @@ def run_td_evaluation(
 ) -> TdEvalResult:
     """Evaluate the MRP's fixed policy for total_steps transitions.
 
-    The state path is presampled from default_rng(seed). Every step takes
-    its alpha from next_alpha and applies the learner's kernel
-    (implicit_step or standard_step) to plain arrays. When on_step is set it
-    is called after each step with (Transition, alpha, trace used); the
-    Transition is built only for the hook, which observes and never changes
-    the result.
+    The state path comes from default_rng(seed) and is sampled block-ahead:
+    sample_state_path draws the start state, then each CHECK_EVERY-step
+    block continues the path from its last state just before the block
+    runs, so a run that stops early samples no state past its last check.
+    The states equal those of one presampled path of total_steps + 1.
+
+    Every step takes its alpha from next_alpha and applies the learner's
+    kernel (implicit_step or standard_step) to plain arrays. When on_step is
+    set it is called after each step with (Transition, alpha, trace used);
+    the Transition is built only for the hook, which observes and never
+    changes the result.
 
     Divergence (non-finite weights, or max-abs weight above
     DIVERGENCE_THRESHOLD) and the optional early-exit target are checked
@@ -320,11 +326,12 @@ def run_td_evaluation(
     check (_NONFINITE_NORM at least, when the weights went non-finite).
     """
     rng = np.random.default_rng(seed)
-    path = sample_state_path(mrp, total_steps + 1, rng)
-    rewards = mrp.r[path[:-1]]
-    feats = mrp.features
+    visited = [sample_state_path(mrp, 1, rng)]
+    s = int(visited[0][0])
+    feats = list(mrp.features)  # row views: a list indexes faster than the matrix
+    rewards = mrp.r.tolist()
     step = implicit_step if implicit else standard_step
-    k = feats.shape[1]
+    k = mrp.k
     w = np.zeros(k)
     e = np.zeros(k)
     gamma = disc.gamma
@@ -333,44 +340,51 @@ def run_td_evaluation(
     max_abs = 0.0
     diverged = False
     steps_done = 0
-    phi2 = feats[path[0]]
+    phi2 = feats[s]
     # a diverging run keeps stepping on overflowed weights until the next
     # check; those steps' overflow is expected, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(total_steps):
-            phi = phi2
-            phi2 = feats[path[t + 1]]
-            reward = float(rewards[t])
-            # only alpha_bound reads the trace argument: the trace entering this step
-            e_in = update_trace(e, phi, disc) if alpha_bound else phi
-            alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
-            w, e = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
-            if on_step is not None:
-                on_step(Transition(phi_t=phi, reward=reward, phi_next=phi2), alpha, e)
-            steps_done = t + 1
-            if steps_done % CHECK_EVERY == 0 or steps_done == total_steps:
-                if not np.isfinite(w).all():
-                    diverged = True
-                    max_abs = max(max_abs, _NONFINITE_NORM)
-                    break
-                cur = float(np.max(np.abs(w)))
-                if cur > max_abs:
-                    max_abs = cur
-                if cur > DIVERGENCE_THRESHOLD:
-                    diverged = True
-                    break
-                if (
-                    target_weights is not None
-                    and target_tol is not None
-                    and float(np.max(np.abs(w - target_weights))) <= target_tol
-                ):
-                    break
+        while steps_done < total_steps:
+            block = sample_state_path(
+                mrp, min(CHECK_EVERY, total_steps - steps_done), rng, start=s
+            )
+            visited.append(block)
+            for t, s_next in enumerate(block.tolist(), steps_done):
+                phi = phi2
+                phi2 = feats[s_next]
+                reward = rewards[s]
+                s = s_next
+                # only alpha_bound reads the trace argument: the trace entering this step
+                e_in = update_trace(e, phi, disc) if alpha_bound else phi
+                alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
+                w, e = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
+                if on_step is not None:
+                    on_step(Transition(phi_t=phi, reward=reward, phi_next=phi2), alpha, e)
+            steps_done += len(block)
+            if not np.isfinite(w).all():
+                diverged = True
+                max_abs = max(max_abs, _NONFINITE_NORM)
+                break
+            cur = float(np.max(np.abs(w)))
+            if cur > max_abs:
+                max_abs = cur
+            if cur > DIVERGENCE_THRESHOLD:
+                diverged = True
+                break
+            if (
+                target_weights is not None
+                and target_tol is not None
+                and float(np.max(np.abs(w - target_weights))) <= target_tol
+            ):
+                break
+    # the reward of every state but the last, whose successor was never drawn
+    state_rewards = mrp.r[np.concatenate(visited)[:-1]]
     return TdEvalResult(
         weights=w,
         steps_completed=steps_done,
         diverged=diverged,
         max_weight_abs=max_abs,
-        mean_reward_last_window=_window_mean(rewards, steps_done, eval_window),
+        mean_reward_last_window=_window_mean(state_rewards, steps_done, eval_window),
     )
 
 
@@ -527,7 +541,11 @@ def run_sweep(
     parallelism: int = 1,
     out_path: str | Path | None = None,
 ) -> list[SweepResult]:
-    """Run the alpha0 x seed grid; optionally write sweep.csv at out_path."""
+    """Run the alpha0 x seed grid; optionally write sweep.csv at out_path.
+
+    parallelism is capped at the number of cells and of CPUs; at 1 (or an
+    empty grid) the cells run in this process.
+    """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     grid = sorted(
@@ -536,10 +554,11 @@ def run_sweep(
         for idx in range(config.n_seeds)
     )
     cells = [(config, alpha0, idx) for alpha0, idx in grid]
-    if parallelism == 1:
+    workers = min(parallelism, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_cell_worker(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_worker, cells))
     if out_path is not None:
         write_sweep_csv(results, out_path)
@@ -600,8 +619,10 @@ def fixed_point_check(
 ) -> FixedPointReport:
     """Run both learners on a seeded random chain against the series oracle.
 
-    Both learners see the same presampled state path. With target_tol set,
-    each run stops as soon as the max-abs error reaches it.
+    Both learners see the same state path, drawn from one seed block-ahead
+    by run_td_evaluation. With target_tol set, each run stops at the first
+    1000-step check where the max-abs error is within it, having sampled no
+    state past that check.
     """
     mrp = random_chain_mrp(n_states, mix64(seed), reward_scale)
     w_star = td_fixed_point_oracle(mrp, disc)

@@ -68,6 +68,10 @@ def test_internal_error_exits_three(config_path, monkeypatch):
         ["--lam", "-0.1"],
         ["--states", "1"],
         ["--steps", "0"],
+        ["--tol", "nan"],
+        ["--tol", "0"],
+        ["--tol", "-0.02"],
+        ["--tol", "inf"],
     ],
 )
 def test_fixed_point_bad_flag_is_a_config_error(flags):

@@ -121,6 +121,98 @@ def test_mrp_episode_cycle_alternates():
         assert mrp.r[path[i]] == mrp.r[state]
 
 
+def _searchsorted_path(mrp, length, rng):
+    """Reference walk: one np.searchsorted call per state over one big draw."""
+    cdf = np.cumsum(mrp.p, axis=1)
+    cdf[:, -1] = 1.0
+    u = rng.random(length)
+    path = np.empty(length, dtype=np.int64)
+    path[0] = int(np.searchsorted(np.cumsum(mrp.xi0), u[0], side="right"))
+    s = path[0]
+    for t in range(1, length):
+        s = int(np.searchsorted(cdf[s], u[t], side="right"))
+        path[t] = s
+    return path
+
+
+def _two_cycle():
+    return FiniteMrp(
+        n_states=2, p=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.array([1.0, 0.0]),
+        xi0=np.array([0.5, 0.5]), features=np.eye(2),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_bisect_walk_equals_searchsorted_walk(n):
+    mrp = random_chain_mrp(n, seed=n)
+    for seed in range(3):
+        got = sample_state_path(mrp, 5000, np.random.default_rng(seed))
+        ref = _searchsorted_path(mrp, 5000, np.random.default_rng(seed))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+
+
+def test_bisect_walk_equals_searchsorted_walk_on_the_cycle():
+    # the cycle's CDF rows are [0, 1] and [1, 1]: repeated values
+    mrp = _two_cycle()
+    got = sample_state_path(mrp, 501, np.random.default_rng(8))
+    assert np.array_equal(got, _searchsorted_path(mrp, 501, np.random.default_rng(8)))
+
+
+class _StubRng:
+    """Hands out a fixed sequence of uniforms, rng.random(n) style."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out)
+
+
+def test_bisect_walk_breaks_cdf_ties_like_searchsorted():
+    # zero-probability states repeat CDF values; every uniform below is
+    # exactly one of the CDF entries, so each lookup is a tie
+    p = np.array([
+        [0.25, 0.0, 0.5, 0.25],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ])
+    mrp = FiniteMrp(
+        n_states=4, p=p, r=np.zeros(4), xi0=np.array([0.5, 0.0, 0.5, 0.0]),
+        features=np.eye(4),
+    )
+    ties = sorted({0.0, *np.cumsum(p, axis=1).ravel(), *np.cumsum(mrp.xi0)} - {1.0})
+    uniforms = [ties[(7 * i) % len(ties)] for i in range(200)]
+    got = sample_state_path(mrp, 200, _StubRng(uniforms))
+    assert np.array_equal(got, _searchsorted_path(mrp, 200, _StubRng(uniforms)))
+    assert len(set(got.tolist())) == 4
+
+
+@pytest.mark.parametrize("mrp", [random_chain_mrp(5, seed=3), _two_cycle()], ids=["chain", "cycle"])
+@pytest.mark.parametrize("cuts", [(1,), (1, 1000), (7, 8, 300), (999, 1000)])
+def test_continued_calls_equal_one_call(mrp, cuts):
+    whole = sample_state_path(mrp, 1500, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    parts = [sample_state_path(mrp, cuts[0], rng)]
+    for lo, hi in zip(cuts, (*cuts[1:], 1500)):
+        parts.append(sample_state_path(mrp, hi - lo, rng, start=int(parts[-1][-1])))
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_zero_length_path_is_empty_and_negative_is_rejected():
+    mrp = random_chain_mrp(3, seed=1)
+    rng = np.random.default_rng(0)
+    path = sample_state_path(mrp, 0, rng)
+    assert path.shape == (0,) and path.dtype == np.int64
+    assert len(sample_state_path(mrp, 0, rng, start=2)) == 0
+    with pytest.raises(ValueError):
+        sample_state_path(mrp, -1, rng)
+    with pytest.raises(ValueError):
+        sample_state_path(mrp, 5, rng, start=3)
+
+
 def test_state_path_frequencies_match_stationary():
     mrp = random_chain_mrp(5, seed=42)
     path = sample_state_path(mrp, 100_000, np.random.default_rng(17))

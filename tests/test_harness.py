@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from implicit_td import harness
 from implicit_td.core import DiscountSpec
-from implicit_td.envs import random_chain_mrp
+from implicit_td.envs import FiniteMrp, random_chain_mrp, sample_state_path
 from implicit_td.harness import (
     AUDIT_HEADER,
+    CHECK_EVERY,
     SWEEP_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -26,7 +28,7 @@ from implicit_td.harness import (
     stability_audit_run,
     write_sweep_csv,
 )
-from implicit_td.learners import DIVERGENCE_THRESHOLD
+from implicit_td.learners import DIVERGENCE_THRESHOLD, td_fixed_point_oracle
 from implicit_td.stepsize import make_schedule
 
 SARSA_KW = dict(domain="cart_pole", algorithm="sarsa_implicit")
@@ -272,8 +274,6 @@ def test_td_eval_hook_only_observes(alpha0, diverges):
 def test_td_eval_early_exit_at_target():
     mrp = random_chain_mrp(4, seed=2)
     disc = DiscountSpec(gamma=0.8, lam=0.5)
-    from implicit_td.learners import td_fixed_point_oracle
-
     w_star = td_fixed_point_oracle(mrp, disc)
     res = run_td_evaluation(
         mrp,
@@ -287,6 +287,71 @@ def test_td_eval_early_exit_at_target():
     )
     assert res.steps_completed < 10**6
     assert float(np.max(np.abs(res.weights - w_star))) <= 0.05
+
+
+@pytest.mark.parametrize("implicit", [False, True], ids=["standard", "implicit"])
+def test_td_eval_samples_at_most_one_block_past_an_early_exit(monkeypatch, implicit):
+    # criterion 4's 2-state cycle, which reaches tolerance 0.02 far before 10**6 steps
+    cycle = FiniteMrp(
+        n_states=2, p=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.array([1.0, 0.0]),
+        xi0=np.array([0.5, 0.5]), features=np.eye(2),
+    )
+    disc = DiscountSpec(gamma=0.5, lam=0.0)
+    sampled = []
+
+    def counting(mrp, length, *args, **kwargs):
+        sampled.append(length)
+        return sample_state_path(mrp, length, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_state_path", counting)
+    res = run_td_evaluation(
+        cycle, disc, make_schedule("polynomial", 0.5), 10**6, seed=123,
+        implicit=implicit, target_weights=td_fixed_point_oracle(cycle, disc),
+        target_tol=0.02,
+    )
+    assert res.steps_completed < 10**6
+    assert sum(sampled) <= res.steps_completed + CHECK_EVERY + 1
+    assert max(sampled) <= CHECK_EVERY
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "grid,n_seeds,parallelism,cpus,workers",
+    [
+        ((0.25, 1.0), 2, 64, 8, 4),  # capped by the 4 cells
+        ((0.25, 1.0), 2, 64, 3, 3),  # capped by the CPUs
+        ((0.25, 1.0), 2, 2, 8, 2),  # as asked
+        ((0.25, 1.0), 2, 64, None, None),  # unknown CPU count counts as 1
+        ((0.25,), 1, 8, 8, None),  # one cell
+        ((), 2, 8, 8, None),  # empty grid
+        ((0.25, 1.0), 2, 1, 8, None),
+    ],
+)
+def test_run_sweep_clamps_parallelism(monkeypatch, grid, n_seeds, parallelism, cpus, workers):
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = tiny_config(alpha0_grid=grid, n_seeds=n_seeds, total_steps=20, eval_window=10)
+    rows = run_sweep(cfg, parallelism=parallelism)
+    assert len(rows) == len(grid) * n_seeds
+    assert _RecordingPool.created == ([] if workers is None else [workers])
 
 
 # --- stability audit
