@@ -82,7 +82,7 @@ def epsilon_greedy(
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(q_values.shape[0]))
-    return int(np.argmax(q_values))
+    return int(q_values.argmax())
 
 
 def sarsa_episode(

@@ -63,7 +63,9 @@ def fourier_features(basis: FourierBasis, s: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected point of shape ({basis.dims},), got {s.shape}"
         )
-    return np.cos(np.pi * (basis.coefficients @ s))
+    z = basis.coefficients @ s  # fresh array: scale and take the cosine in place
+    z *= np.pi
+    return np.cos(z, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +182,6 @@ class DiscreteActionEnv(Protocol):
     def step(self, action: int) -> tuple[np.ndarray, float, bool]: ...
 
 
-def _segment_distance(
-    px: float, py: float, ax: float, ay: float, bx: float, by: float
-) -> float:
-    vx, vy = bx - ax, by - ay
-    t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
-    t = min(1.0, max(0.0, t))
-    dx, dy = px - (ax + t * vx), py - (ay + t * vy)
-    return math.hypot(dx, dy)
-
-
 PUDDLE_MOVE = 0.05
 PUDDLE_NOISE_SIGMA = 0.01
 PUDDLE_RADIUS = 0.1
@@ -201,6 +193,15 @@ PUDDLE_CAPSULES = (
     (0.10, 0.75, 0.45, 0.75),
     (0.45, 0.40, 0.45, 0.80),
 )
+# each capsule as (ax, ay, vx, vy, |v|^2) with v = b - a
+_PUDDLE_AXES = tuple(
+    (ax, ay, bx - ax, by - ay, (bx - ax) * (bx - ax) + (by - ay) * (by - ay))
+    for ax, ay, bx, by in PUDDLE_CAPSULES
+)
+# noise rows drawn per Generator call; any size gives the same draws. Half
+# of a default cell's episodes end within 24 steps, and a 32-row draw costs
+# about two single-row draws.
+_PUDDLE_NOISE_BLOCK = 32
 # (dx, dy) of actions up, down, left, right
 _PUDDLE_MOVES = (
     (0.0, PUDDLE_MOVE), (0.0, -PUDDLE_MOVE), (-PUDDLE_MOVE, 0.0), (PUDDLE_MOVE, 0.0)
@@ -214,6 +215,13 @@ class PuddleWorld:
     on both coordinates, clamped to the unit square. Each step costs -1 plus
     PUDDLE_PENALTY_SCALE times the deepest puddle intrusion; the step that
     lands in the goal region contributes 0 and ends the episode.
+
+    The noise comes from the generator seeded by `reset`, drawn
+    _PUDDLE_NOISE_BLOCK steps at a time as one normal(size=(n, 2)) call:
+    the Generator draws one normal after another, so each step gets the
+    pair a per-step normal(size=2) call would have returned. Rows drawn
+    past the end of an episode are never read, and nothing else reads the
+    generator after the start state.
     """
 
     n_actions = 4
@@ -223,6 +231,7 @@ class PuddleWorld:
         self._x = 0.0
         self._y = 0.0
         self._rng: np.random.Generator | None = None
+        self._noise: list[list[float]] = []
         self._steps = 0
         self.done = True
 
@@ -242,8 +251,11 @@ class PuddleWorld:
 
     def puddle_depth(self, x: float, y: float) -> float:
         depth = 0.0
-        for ax, ay, bx, by in PUDDLE_CAPSULES:
-            d = PUDDLE_RADIUS - _segment_distance(x, y, ax, ay, bx, by)
+        for ax, ay, vx, vy, v_sq in _PUDDLE_AXES:
+            # distance from (x, y) to the nearest point of segment a + t*v
+            t = ((x - ax) * vx + (y - ay) * vy) / v_sq
+            t = min(1.0, max(0.0, t))
+            d = PUDDLE_RADIUS - math.hypot(x - (ax + t * vx), y - (ay + t * vy))
             if d > depth:
                 depth = d
         return depth
@@ -254,10 +266,15 @@ class PuddleWorld:
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action must be in [0, {self.n_actions}), got {action}")
         dx, dy = _PUDDLE_MOVES[action]
-        assert self._rng is not None
-        nx, ny = self._rng.normal(0.0, PUDDLE_NOISE_SIGMA, size=2)
-        self._x = min(1.0, max(0.0, self._x + dx + float(nx)))
-        self._y = min(1.0, max(0.0, self._y + dy + float(ny)))
+        row = self._steps % _PUDDLE_NOISE_BLOCK
+        if row == 0:
+            assert self._rng is not None
+            self._noise = self._rng.normal(
+                0.0, PUDDLE_NOISE_SIGMA, size=(_PUDDLE_NOISE_BLOCK, 2)
+            ).tolist()
+        nx, ny = self._noise[row]
+        self._x = min(1.0, max(0.0, self._x + dx + nx))
+        self._y = min(1.0, max(0.0, self._y + dy + ny))
         self._steps += 1
         if self._x + self._y >= PUDDLE_GOAL_THRESHOLD:
             self.done = True
@@ -283,8 +300,14 @@ CART_EPISODE_CAP = 3000
 CART_RESET_SPREAD = 0.05
 _CART_TOTAL_MASS = CART_MASS + CART_POLE_MASS
 _CART_POLE_ML = CART_POLE_MASS * CART_POLE_HALF_LENGTH
-_CART_OBS_HI = (CART_X_LIMIT, CART_XDOT_LIMIT, CART_THETA_LIMIT, CART_THETADOT_LIMIT)
-_CART_OBS_LO = tuple(-h for h in _CART_OBS_HI)
+# observation box per coordinate: lower bound and width hi - lo
+_CART_X_LO, _CART_XDOT_LO, _CART_THETA_LO, _CART_THETADOT_LO = (
+    -CART_X_LIMIT, -CART_XDOT_LIMIT, -CART_THETA_LIMIT, -CART_THETADOT_LIMIT
+)
+_CART_X_SPAN = CART_X_LIMIT - _CART_X_LO
+_CART_XDOT_SPAN = CART_XDOT_LIMIT - _CART_XDOT_LO
+_CART_THETA_SPAN = CART_THETA_LIMIT - _CART_THETA_LO
+_CART_THETADOT_SPAN = CART_THETADOT_LIMIT - _CART_THETADOT_LO
 
 
 class CartPole:
@@ -304,10 +327,13 @@ class CartPole:
         self.done = True
 
     def _obs(self) -> np.ndarray:
+        x, xd, th, thd = self._s
         return np.array(
             [
-                min(1.0, max(0.0, (v - l) / (h - l)))
-                for v, l, h in zip(self._s, _CART_OBS_LO, _CART_OBS_HI)
+                min(1.0, max(0.0, (x - _CART_X_LO) / _CART_X_SPAN)),
+                min(1.0, max(0.0, (xd - _CART_XDOT_LO) / _CART_XDOT_SPAN)),
+                min(1.0, max(0.0, (th - _CART_THETA_LO) / _CART_THETA_SPAN)),
+                min(1.0, max(0.0, (thd - _CART_THETADOT_LO) / _CART_THETADOT_SPAN)),
             ]
         )
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -523,6 +525,13 @@ def _cell_worker(args: tuple[ExperimentConfig, float, int]) -> SweepResult:
     try:
         return run_cell(config, alpha0, seed_idx)
     except Exception as err:  # record in-row, keep the sweep going
+        # the row keeps only the type; the cause goes to stderr
+        print(
+            f"cell alpha0={alpha0!r} seed={seed_idx} failed: "
+            f"{type(err).__name__}: {err}",
+            file=sys.stderr,
+        )
+        traceback.print_exc(file=sys.stderr)
         return SweepResult(
             domain=config.domain,
             algorithm=config.algorithm,

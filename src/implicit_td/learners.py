@@ -27,6 +27,7 @@ the max-abs of the weights it left in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +69,18 @@ def make_learner(
 def _commit(
     state: TdLearnerState, terminal: bool, e: np.ndarray, w_new: np.ndarray
 ) -> float:
-    if not np.isfinite(w_new).all():
+    """Apply the candidate w_new under the divergence contract.
+
+    One reduction serves both divergence checks: max propagates NaN and
+    +-inf, so the max-abs of w_new is finite exactly when every entry is.
+    """
+    max_abs = float(np.abs(w_new).max())
+    if not math.isfinite(max_abs):
         state.diverged = True
-        return float(np.max(np.abs(state.weights)))
+        return float(np.abs(state.weights).max())
     state.weights = w_new
     state.trace = np.zeros_like(e) if terminal else e
     state.step_count += 1
-    max_abs = float(np.max(np.abs(w_new)))
     if max_abs > DIVERGENCE_THRESHOLD:
         state.diverged = True
     return max_abs
@@ -120,7 +126,7 @@ def td_step_standard(state: TdLearnerState, tr: Transition, alpha: float) -> flo
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
-        return float(np.max(np.abs(state.weights)))
+        return float(np.abs(state.weights).max())
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
     w_new, e = standard_step(
@@ -136,7 +142,7 @@ def td_step_implicit(state: TdLearnerState, tr: Transition, alpha: float) -> flo
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
-        return float(np.max(np.abs(state.weights)))
+        return float(np.abs(state.weights).max())
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
     w_new, e = implicit_step(

@@ -181,11 +181,23 @@ def spectral_sq_norm(m: np.ndarray) -> float:
 
 
 def audit_step(g: TransitionGeometry) -> StabilityReport:
-    """Evaluate both closed-form pairs plus the squared norms for one step."""
-    lam_plus, lam_minus = standard_gain_eigenvalues(g)
-    lam_im_plus, lam_im_minus = implicit_gain_eigenvalues(g)
+    """Evaluate both closed-form pairs plus the squared norms for one step.
+
+    Takes e.e, d.d and e.d once each and beta once, and feeds them to the
+    same closed forms that standard_gain_eigenvalues,
+    implicit_gain_eigenvalues and compute_beta evaluate, so the report
+    equals theirs bit for bit.
+    """
+    e_norm_sq = float(g.e @ g.e)
+    d_norm_sq = float(g.d @ g.d)
+    e_dot_d = float(g.e @ g.d)
+    beta = 1.0 / (1.0 + g.alpha * e_norm_sq)
+    lam_plus, lam_minus = _gram_eig_pair(g.alpha, e_norm_sq, d_norm_sq, e_dot_d)
+    lam_im_plus, lam_im_minus = _gram_eig_pair(
+        g.alpha * beta, e_norm_sq, d_norm_sq, e_dot_d
+    )
     return StabilityReport(
-        beta=compute_beta(g.alpha, g.e),
+        beta=beta,
         lam_plus=lam_plus,
         lam_minus=lam_minus,
         lam_im_plus=lam_im_plus,

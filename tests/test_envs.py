@@ -287,6 +287,104 @@ def test_puddle_positions_stay_in_unit_square():
             obs = env.reset(seed=9)
 
 
+class _PerStepNoisePuddleWorld(PuddleWorld):
+    """Reference: puddle world drawing its noise with one normal(size=2)
+    call per step, and the capsule distance computed from the corner
+    points on every call."""
+
+    def puddle_depth(self, x, y):
+        depth = 0.0
+        for ax, ay, bx, by in envs.PUDDLE_CAPSULES:
+            vx, vy = bx - ax, by - ay
+            t = ((x - ax) * vx + (y - ay) * vy) / (vx * vx + vy * vy)
+            t = min(1.0, max(0.0, t))
+            dx, dy = x - (ax + t * vx), y - (ay + t * vy)
+            d = envs.PUDDLE_RADIUS - math.hypot(dx, dy)
+            if d > depth:
+                depth = d
+        return depth
+
+    def step(self, action):
+        if self.done:
+            raise RuntimeError("step() called on a finished episode; reset first")
+        m = envs.PUDDLE_MOVE
+        dx, dy = ((0.0, m), (0.0, -m), (-m, 0.0), (m, 0.0))[action]
+        nx, ny = self._rng.normal(0.0, envs.PUDDLE_NOISE_SIGMA, size=2)
+        self._x = min(1.0, max(0.0, self._x + dx + float(nx)))
+        self._y = min(1.0, max(0.0, self._y + dy + float(ny)))
+        self._steps += 1
+        if self._x + self._y >= envs.PUDDLE_GOAL_THRESHOLD:
+            self.done = True
+            return self._obs(), 0.0, True
+        reward = -1.0 - envs.PUDDLE_PENALTY_SCALE * self.puddle_depth(self._x, self._y)
+        if self._steps >= envs.PUDDLE_EPISODE_CAP:
+            self.done = True
+        return self._obs(), reward, self.done
+
+
+def _puddle_pair(seed):
+    env, ref = PuddleWorld(), _PerStepNoisePuddleWorld()
+    assert env.reset(seed).tobytes() == ref.reset(seed).tobytes()
+    return env, ref
+
+
+def _step_both(env, ref, actions):
+    """Step both worlds until done or out of actions, asserting bitwise
+    equal (obs, reward, done) on every step; returns (steps, rewards, done)."""
+    rewards = []
+    done = False
+    for action in actions:
+        obs, reward, done = env.step(action)
+        ref_obs, ref_reward, ref_done = ref.step(action)
+        assert obs.tobytes() == ref_obs.tobytes()
+        assert float(reward).hex() == float(ref_reward).hex()
+        assert done is ref_done
+        rewards.append(reward)
+        if done:
+            break
+    return len(rewards), rewards, done
+
+
+def test_block_noise_equals_per_step_noise_over_full_episodes():
+    rng = np.random.default_rng(31)
+    rewards = []
+    for seed in range(10):
+        env, ref = _puddle_pair(seed)
+        # biased toward up/right so that the episodes reach the goal
+        actions = rng.choice(4, size=envs.PUDDLE_EPISODE_CAP, p=[0.35, 0.15, 0.15, 0.35])
+        steps, episode_rewards, done = _step_both(env, ref, actions.tolist())
+        assert done
+        rewards += episode_rewards
+    assert min(rewards) < -1.0  # some steps end inside a puddle
+
+
+def test_block_noise_equals_per_step_noise_on_a_capped_episode():
+    env, ref = _puddle_pair(5)
+    # down and left pin the walker to the corner far from the goal
+    steps, rewards, done = _step_both(env, ref, [1, 2] * envs.PUDDLE_EPISODE_CAP)
+    assert (steps, done) == (envs.PUDDLE_EPISODE_CAP, True)
+    assert rewards[-1] == -1.0
+    with pytest.raises(RuntimeError):
+        env.step(0)
+
+
+def test_block_noise_equals_per_step_noise_on_a_goal_episode():
+    env, ref = _puddle_pair(2)
+    steps, rewards, done = _step_both(env, ref, [0, 3] * envs.PUDDLE_EPISODE_CAP)
+    assert done and rewards[-1] == 0.0 and steps < envs.PUDDLE_EPISODE_CAP
+
+
+@pytest.mark.parametrize("cut", [1, 31, 32, 33, 45])
+def test_block_noise_equals_per_step_noise_across_a_mid_block_reset(cut):
+    env, ref = _puddle_pair(11)
+    rng = np.random.default_rng(cut)
+    _step_both(env, ref, rng.integers(4, size=cut).tolist())
+    assert env._steps == cut  # still inside the episode
+    assert env.reset(12).tobytes() == ref.reset(12).tobytes()
+    steps, _, done = _step_both(env, ref, rng.integers(4, size=envs.PUDDLE_EPISODE_CAP).tolist())
+    assert done
+
+
 # --- cart-pole
 
 

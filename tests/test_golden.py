@@ -15,6 +15,13 @@ import pytest
 from implicit_td.harness import ExperimentConfig, run_sweep, stability_audit_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# Where the files were recorded. Dot products go through the BLAS kernel
+# OpenBLAS picks for the CPU core at run time, and other kernels (Haswell or
+# Zen on AVX2-only machines) round some sums differently, which moves bytes.
+RECORDED_ON = (
+    "x86_64, OpenBLAS core SkylakeX (AVX-512), numpy 2.4.6, scipy 1.17.1, "
+    "Python 3.11.7"
+)
 
 SARSA_ALGORITHMS = (
     "sarsa_standard",
@@ -78,7 +85,11 @@ def render(name: str, out_dir: Path) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(SWEEPS) + sorted(AUDITS))
 def test_output_bytes_match_golden(name, tmp_path):
-    assert render(name, tmp_path) == (GOLDEN / name).read_bytes()
+    assert render(name, tmp_path) == (GOLDEN / name).read_bytes(), (
+        f"{name} differs from the golden bytes recorded on {RECORDED_ON}; "
+        "numpy.show_runtime() (with threadpoolctl installed) names this "
+        "machine's OpenBLAS core"
+    )
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ def test_run_cell_rejects_bad_cell_coordinates():
         run_cell(cfg, 0.5, -1)
 
 
-def test_run_sweep_row_count_and_order(tmp_path):
+def test_run_sweep_row_count_and_order(tmp_path, capsys):
     cfg = tiny_config(total_steps=60, eval_window=30)
     out = tmp_path / "sweep.csv"
     rows = run_sweep(cfg, parallelism=1, out_path=out)
@@ -198,6 +198,30 @@ def test_run_sweep_row_count_and_order(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 5
+    assert capsys.readouterr() == ("", "")  # ok cells print nothing
+
+
+def test_error_cell_keeps_its_row_and_prints_its_cause(tmp_path, monkeypatch, capsys):
+    real_run_cell = harness.run_cell
+
+    def failing_run_cell(config, alpha0, seed_idx):
+        if (alpha0, seed_idx) == (1.0, 1):
+            raise RuntimeError("injected failure")
+        return real_run_cell(config, alpha0, seed_idx)
+
+    monkeypatch.setattr(harness, "run_cell", failing_run_cell)
+    cfg = tiny_config(total_steps=60, eval_window=30)
+    out = tmp_path / "sweep.csv"
+    rows = run_sweep(cfg, parallelism=1, out_path=out)
+    assert [r.status for r in rows] == ["ok", "ok", "ok", "error:RuntimeError"]
+    last = out.read_text().splitlines()[-1]
+    assert last == "cart_pole,sarsa_implicit,1.0,1,0.0,false,0.0,0,error:RuntimeError"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell alpha0=1.0 seed=1 failed: RuntimeError: injected failure" in captured.err
+    assert "Traceback (most recent call last)" in captured.err
+    assert 'raise RuntimeError("injected failure")' in captured.err
+    assert "alpha0=0.25" not in captured.err
 
 
 def test_run_sweep_empty_grid_header_only(tmp_path):

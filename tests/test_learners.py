@@ -8,7 +8,9 @@ from implicit_td.envs import FiniteMrp, random_chain_mrp
 from implicit_td.learners import (
     DIVERGENCE_THRESHOLD,
     TdLearnerState,
+    implicit_step,
     make_learner,
+    standard_step,
     td_fixed_point_oracle,
     td_step_implicit,
     td_step_implicit_oracle,
@@ -189,6 +191,42 @@ def test_nonfinite_candidate_rejected_state_unchanged():
     assert learner.weights[0] == 1e308  # candidate was discarded
     assert max_abs == 1e308  # the pre-step value
     assert learner.step_count == 0
+
+
+# finite pre-step weights and inputs whose candidate w' is non-finite under
+# both rules: (w0, entering trace, phi_t, phi_next), reward 0, alpha 1
+NONFINITE_CANDIDATES = {
+    # gamma*phi'.w and phi.w overflow to inf together: inf - inf
+    "nan_only": ([1e308], [0.5], [2.0], [2.0]),
+    # e.w overflows while w stays finite, so w' = w -/+ inf
+    "plus_inf": ([-1e300], [1e-9], [1e10], [0.0]),
+    "minus_inf": ([1e300], [1e-9], [1e10], [0.0]),
+}
+
+
+@pytest.mark.parametrize("implicit", [False, True], ids=["standard", "implicit"])
+@pytest.mark.parametrize("kind", sorted(NONFINITE_CANDIDATES))
+def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
+    w0, trace0, phi_t, phi_next = NONFINITE_CANDIDATES[kind]
+    disc = DiscountSpec(gamma=0.9, lam=0.5)
+    learner = make_learner(1, disc, w0=np.array(w0))
+    learner.trace = np.array(trace0)
+    tr = transition(phi_t, 0.0, phi_next)
+    kernel, step = (implicit_step, td_step_implicit) if implicit else (standard_step, td_step_standard)
+    with np.errstate(over="ignore", invalid="ignore"):
+        candidate, _ = kernel(
+            learner.weights, learner.trace, tr.phi_t, tr.phi_next, tr.reward,
+            1.0, disc.gamma, disc.trace_decay, tr.terminal,
+        )
+        expected = {"nan_only": [np.nan], "plus_inf": [np.inf], "minus_inf": [-np.inf]}[kind]
+        assert np.array_equal(candidate, expected, equal_nan=True)
+        weights, trace = learner.weights, learner.trace
+        max_abs = step(learner, tr, alpha=1.0)
+    assert learner.diverged
+    assert learner.weights is weights and learner.weights.tolist() == w0
+    assert learner.trace is trace and learner.trace.tolist() == trace0
+    assert learner.step_count == 0
+    assert max_abs == abs(w0[0])  # the pre-step max-abs
 
 
 def test_alpha_must_be_positive():

@@ -1,5 +1,6 @@
 """Closed-form gain eigenvalues against dense linear-algebra oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -101,6 +102,45 @@ def test_discriminant_boundary_e_equals_d():
         assert report.lam_minus == pytest.approx(1.0, abs=1e-6)
         assert report.lam_im_plus == pytest.approx(1.0, abs=1e-12)
         assert report.lam_im_minus == pytest.approx(1.0 / 9.0, abs=1e-12)
+
+
+def _audit_by_parts(g):
+    # reference: the audit as a composition of the public closed forms
+    lam_plus, lam_minus = standard_gain_eigenvalues(g)
+    lam_im_plus, lam_im_minus = implicit_gain_eigenvalues(g)
+    return StabilityReport(
+        beta=compute_beta(g.alpha, g.e),
+        lam_plus=lam_plus,
+        lam_minus=lam_minus,
+        lam_im_plus=lam_im_plus,
+        lam_im_minus=lam_im_minus,
+        sq_norm_standard=max(lam_plus, 1.0),
+        sq_norm_implicit=max(lam_im_plus, 1.0),
+    )
+
+
+def _bits(report):
+    return [float(v).hex() for v in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("k", [2, 64, 512])
+def test_audit_step_equals_its_parts_bitwise(k):
+    rng = np.random.default_rng(515 + k)
+    for i in range(300):
+        e = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3)
+        # independent d, d = e, and d parallel to e
+        d = (rng.normal(size=k), e.copy(), -0.7 * e)[i % 3]
+        g = TransitionGeometry(e=e, d=d, alpha=10.0 ** float(rng.uniform(-4, 2)))
+        assert _bits(audit_step(g)) == _bits(_audit_by_parts(g))
+
+
+def test_audit_step_equals_its_parts_on_the_boundary():
+    # the e = d, alpha*|e|^2 = 2 boundary of test_discriminant_boundary_e_equals_d
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        e = rng.normal(size=int(rng.integers(2, 64)))
+        g = TransitionGeometry(e=e, d=e.copy(), alpha=2.0 / float(e @ e))
+        assert _bits(audit_step(g)) == _bits(_audit_by_parts(g))
 
 
 def test_rank_two_eigenvalues_examples():
