@@ -3,7 +3,7 @@
 Library layout:
 
 * core: vector helpers, DiscountSpec, Transition
-* learners: the two TD step rules and their oracles
+* learners: the two TD step rules and the TD fixed-point oracle
 * stability: closed-form per-step eigenvalue/contraction analysis
 * stepsize: constant, polynomial, and alpha-bound schedules
 * envs: finite MRPs, puddle world, cart-pole, Fourier features
@@ -40,21 +40,9 @@ from .learners import (
     make_learner,
     td_fixed_point_oracle,
     td_step_implicit,
-    td_step_implicit_oracle,
     td_step_standard,
 )
-from .stability import (
-    RankTwoEigs,
-    StabilityReport,
-    TransitionGeometry,
-    audit_step,
-    compute_beta,
-    dense_gain_matrix,
-    implicit_gain_eigenvalues,
-    rank_two_eigenvalues,
-    spectral_sq_norm,
-    standard_gain_eigenvalues,
-)
+from .stability import StabilityReport, TransitionGeometry, audit_step
 from .stepsize import StepSizeSchedule, make_schedule, next_alpha
 
 __all__ = [
@@ -68,7 +56,6 @@ __all__ = [
     "FixedPointReport",
     "FourierBasis",
     "PuddleWorld",
-    "RankTwoEigs",
     "SarsaAgent",
     "StabilityReport",
     "StepSizeSchedule",
@@ -77,31 +64,24 @@ __all__ = [
     "Transition",
     "TransitionGeometry",
     "audit_step",
-    "compute_beta",
-    "dense_gain_matrix",
     "epsilon_greedy",
     "fixed_point_check",
     "fourier_features",
-    "implicit_gain_eigenvalues",
     "load_config",
     "make_fourier_basis",
     "make_learner",
     "make_schedule",
     "next_alpha",
     "random_chain_mrp",
-    "rank_two_eigenvalues",
     "run_cell",
     "run_sweep",
     "run_td_evaluation",
     "sarsa_episode",
-    "spectral_sq_norm",
     "stability_audit_run",
     "stack_features",
-    "standard_gain_eigenvalues",
     "stationary_distribution",
     "td_fixed_point_oracle",
     "td_step_implicit",
-    "td_step_implicit_oracle",
     "td_step_standard",
     "update_trace",
 ]

@@ -30,6 +30,7 @@ from .harness import (
     run_cell,
     run_sweep,
     stability_audit_run,
+    write_sweep_csv,
 )
 
 EXIT_OK = 0
@@ -142,7 +143,7 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     print(format_sweep_row(row))
     if args.out is not None:
         out = _out_dir(args.out) / "cell.csv"
-        out.write_bytes((SWEEP_HEADER + "\n" + format_sweep_row(row) + "\n").encode())
+        write_sweep_csv([row], out)
         print(f"wrote {out}")
     return EXIT_OK
 

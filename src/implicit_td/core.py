@@ -17,16 +17,6 @@ class DimensionMismatchError(ValueError):
     """Two vectors of different lengths were combined."""
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce input to a 1-D float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
 def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(
@@ -77,7 +67,3 @@ class Transition:
         check_same_length(self.phi_t, self.phi_next)
         if not math.isfinite(self.reward):
             raise ValueError(f"reward must be finite, got {self.reward}")
-
-    @property
-    def k(self) -> int:
-        return self.phi_t.shape[0]

@@ -19,6 +19,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -59,15 +60,6 @@ ALGORITHMS = (
     "sarsa_implicit_alpha_bound",
 )
 DEFAULT_ALPHA0_GRID = tuple(2.0**i for i in range(-8, 4))
-
-SWEEP_HEADER = (
-    "domain,algorithm,alpha0,seed,final_avg_reward,"
-    "diverged,max_weight_norm,steps_completed,status"
-)
-AUDIT_HEADER = (
-    "step,beta,lam_plus,lam_minus,lam_im_plus,lam_im_minus,"
-    "sq_norm_standard,sq_norm_implicit,ratio"
-)
 
 
 class ConfigError(ValueError):
@@ -261,6 +253,16 @@ class AuditRow:
     sq_norm_standard: float
     sq_norm_implicit: float
     ratio: float
+
+
+def _csv_schema(row_type: type) -> tuple[str, Callable[[object], tuple]]:
+    """The CSV header of a row dataclass and a getter of its values, in field order."""
+    names = [f.name for f in fields(row_type)]
+    return ",".join(names), attrgetter(*names)
+
+
+SWEEP_HEADER, _SWEEP_VALUES = _csv_schema(SweepResult)
+AUDIT_HEADER, _AUDIT_VALUES = _csv_schema(AuditRow)
 
 
 @dataclass(frozen=True, slots=True)
@@ -616,13 +618,16 @@ def stability_audit_run(
     return result, rows
 
 
+# the polynomial step-size schedule both learners of fixed_point_check follow
+FIXED_POINT_ALPHA0 = 0.5
+FIXED_POINT_EXPONENT = 0.7
+
+
 def fixed_point_check(
     n_states: int,
     seed: int,
     disc: DiscountSpec,
     steps: int,
-    alpha0: float = 0.5,
-    exponent: float = 0.7,
     target_tol: float | None = None,
     reward_scale: float = 1.0,
 ) -> FixedPointReport:
@@ -641,7 +646,7 @@ def fixed_point_check(
         runs[implicit] = run_td_evaluation(
             mrp,
             disc,
-            make_schedule("polynomial", alpha0, exponent=exponent),
+            make_schedule("polynomial", FIXED_POINT_ALPHA0, exponent=FIXED_POINT_EXPONENT),
             steps,
             path_seed,
             implicit=implicit,
@@ -673,47 +678,25 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _format_row(values: Callable[[object], tuple], row: object) -> str:
+    return ",".join(_fmt(v) for v in values(row))
+
+
+def _write_csv(
+    header: str, values: Callable[[object], tuple], rows: list, path: str | Path
+) -> None:
+    lines = [header]
+    lines.extend(_format_row(values, r) for r in rows)
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def format_sweep_row(row: SweepResult) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            row.domain,
-            row.algorithm,
-            row.alpha0,
-            row.seed,
-            row.final_avg_reward,
-            row.diverged,
-            row.max_weight_norm,
-            row.steps_completed,
-            row.status,
-        )
-    )
+    return _format_row(_SWEEP_VALUES, row)
 
 
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
-    lines = [SWEEP_HEADER]
-    lines.extend(format_sweep_row(r) for r in results)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def format_audit_row(row: AuditRow) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            row.step,
-            row.beta,
-            row.lam_plus,
-            row.lam_minus,
-            row.lam_im_plus,
-            row.lam_im_minus,
-            row.sq_norm_standard,
-            row.sq_norm_implicit,
-            row.ratio,
-        )
-    )
+    _write_csv(SWEEP_HEADER, _SWEEP_VALUES, results, path)
 
 
 def write_audit_csv(rows: list[AuditRow], path: str | Path) -> None:
-    lines = [AUDIT_HEADER]
-    lines.extend(format_audit_row(r) for r in rows)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_csv(AUDIT_HEADER, _AUDIT_VALUES, rows, path)

@@ -1,4 +1,4 @@
-"""Standard and implicit TD(lambda) update rules, with the oracles that check them.
+"""Standard and implicit TD(lambda) update rules and the TD fixed-point oracle.
 
 Both learners keep (weights, trace) where the stored trace is the one
 *entering* the next update; each step first decays it and adds the incoming
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscountSpec, Transition, as_vector, check_same_length, update_trace
+from .core import DiscountSpec, Transition, check_same_length
+from .core import update_trace  # not called here; kept for bench/layers.py, which rebinds it
 from .envs import FiniteMrp, stationary_distribution
 
 DIVERGENCE_THRESHOLD = 1e8
-ORACLE_MAX_K = 64
 
 
 @dataclass(slots=True)
@@ -52,18 +52,11 @@ class TdLearnerState:
         return self.weights.shape[0]
 
 
-def make_learner(
-    k: int, disc: DiscountSpec, w0: np.ndarray | None = None
-) -> TdLearnerState:
+def make_learner(k: int, disc: DiscountSpec) -> TdLearnerState:
+    """A learner with zero weights and a zero trace."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if w0 is None:
-        weights = np.zeros(k)
-    else:
-        weights = as_vector(w0).copy()
-        if weights.shape[0] != k:
-            raise ValueError(f"w0 has length {weights.shape[0]}, expected {k}")
-    return TdLearnerState(weights=weights, trace=np.zeros(k), disc=disc)
+    return TdLearnerState(weights=np.zeros(k), trace=np.zeros(k), disc=disc)
 
 
 def _commit(
@@ -150,30 +143,6 @@ def td_step_implicit(state: TdLearnerState, tr: Transition, alpha: float) -> flo
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
     )
     return _commit(state, tr.terminal, e, w_new)
-
-
-def td_step_implicit_oracle(
-    state: TdLearnerState, tr: Transition, alpha: float
-) -> np.ndarray:
-    """Dense solve of (I + alpha e e^T) w' = w + alpha*b*e. Test oracle.
-
-    Accepts alpha = 0 (the identity solve) so the zero-step limit is
-    checkable; does not mutate the state.
-    """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    k = state.k
-    if k > ORACLE_MAX_K:
-        raise ValueError(f"dense oracle capped at k={ORACLE_MAX_K}, got {k}")
-    check_same_length(state.weights, tr.phi_t)
-    disc = state.disc
-    w = state.weights
-    e = update_trace(state.trace, tr.phi_t, disc)
-    bootstrap = 0.0 if tr.terminal else disc.gamma * float(tr.phi_next @ w)
-    bracket = tr.reward + bootstrap + disc.trace_decay * float(state.trace @ w)
-    lhs = np.eye(k) + alpha * np.outer(e, e)
-    rhs = w + (alpha * bracket) * e
-    return np.linalg.solve(lhs, rhs)
 
 
 SERIES_TOL = 1e-14

@@ -29,8 +29,6 @@ import numpy as np
 
 from .core import check_same_length
 
-DENSE_ORACLE_MAX_K = 64
-
 
 @dataclass(frozen=True, slots=True)
 class TransitionGeometry:
@@ -52,10 +50,6 @@ class TransitionGeometry:
         if not (np.isfinite(self.e).all() and np.isfinite(self.d).all()):
             raise ValueError("geometry vectors must be finite")
 
-    @property
-    def k(self) -> int:
-        return self.e.shape[0]
-
 
 @dataclass(frozen=True, slots=True)
 class StabilityReport:
@@ -68,27 +62,6 @@ class StabilityReport:
     lam_im_minus: float
     sq_norm_standard: float
     sq_norm_implicit: float
-
-
-@dataclass(frozen=True, slots=True)
-class RankTwoEigs:
-    """The two nonzero-subspace eigenvalues of a rank-two matrix.
-
-    For a real rank-two matrix the pair is either real (complex_pair False,
-    lam1 >= lam2) or a complex-conjugate pair (complex_pair True, lam1 the
-    member with positive imaginary part).
-    """
-
-    lam1: complex
-    lam2: complex
-    complex_pair: bool
-
-
-def compute_beta(alpha: float, e: np.ndarray) -> float:
-    """Shrinkage factor 1 / (1 + alpha ||e||^2) of the rank-one inverse."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return 1.0 / (1.0 + alpha * float(e @ e))
 
 
 def _gram_eig_pair(
@@ -107,86 +80,12 @@ def _gram_eig_pair(
     return center + half_spread, center - half_spread
 
 
-def standard_gain_eigenvalues(g: TransitionGeometry) -> tuple[float, float]:
-    """Non-unit eigenvalue pair of the standard gain Gram matrix M M^T."""
-    return _gram_eig_pair(
-        g.alpha,
-        float(g.e @ g.e),
-        float(g.d @ g.d),
-        float(g.e @ g.d),
-    )
-
-
-def implicit_gain_eigenvalues(g: TransitionGeometry) -> tuple[float, float]:
-    """Non-unit eigenvalue pair for the implicit gain: alpha -> alpha*beta."""
-    beta = compute_beta(g.alpha, g.e)
-    return _gram_eig_pair(
-        g.alpha * beta,
-        float(g.e @ g.e),
-        float(g.d @ g.d),
-        float(g.e @ g.d),
-    )
-
-
-def rank_two_eigenvalues(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
-) -> RankTwoEigs:
-    """Nonzero-subspace eigenvalues of a b^T + c d^T.
-
-    Derived from the trace identities lam1 + lam2 = a.b + c.d and
-    lam1 * lam2 = (a.b)(c.d) - (a.d)(b.c); the remaining k-2 eigenvalues of
-    the matrix are zero.
-    """
-    check_same_length(a, b)
-    check_same_length(a, c)
-    check_same_length(a, d)
-    ab = float(a @ b)
-    cd = float(c @ d)
-    ad = float(a @ d)
-    bc = float(b @ c)
-    trace = ab + cd
-    disc = (ab - cd) ** 2 + 4.0 * ad * bc
-    if disc >= 0.0:
-        half_spread = 0.5 * math.sqrt(disc)
-        lam1 = 0.5 * trace + half_spread
-        lam2 = 0.5 * trace - half_spread
-        return RankTwoEigs(complex(lam1), complex(lam2), False)
-    imag = 0.5 * math.sqrt(-disc)
-    return RankTwoEigs(
-        complex(0.5 * trace, imag), complex(0.5 * trace, -imag), True
-    )
-
-
-def dense_gain_matrix(g: TransitionGeometry, implicit: bool) -> np.ndarray:
-    """Materialize the k x k gain matrix. Test oracle; k is capped.
-
-    The implicit variant constructs Q explicitly through the rank-one inverse
-    identity Q = I - (alpha / (1 + alpha ||e||^2)) e e^T before multiplying.
-    """
-    if g.k > DENSE_ORACLE_MAX_K:
-        raise ValueError(f"dense oracle capped at k={DENSE_ORACLE_MAX_K}, got {g.k}")
-    eye = np.eye(g.k)
-    x = np.outer(g.e, g.d)
-    if not implicit:
-        return eye - g.alpha * x
-    q = eye - (g.alpha / (1.0 + g.alpha * float(g.e @ g.e))) * np.outer(g.e, g.e)
-    return eye - g.alpha * (q @ x)
-
-
-def spectral_sq_norm(m: np.ndarray) -> float:
-    """Largest eigenvalue of M M^T (the squared spectral norm). Test oracle."""
-    if m.shape[0] > DENSE_ORACLE_MAX_K or m.shape[1] > DENSE_ORACLE_MAX_K:
-        raise ValueError(f"dense oracle capped at k={DENSE_ORACLE_MAX_K}, got {m.shape}")
-    return float(np.linalg.eigvalsh(m @ m.T)[-1])
-
-
 def audit_step(g: TransitionGeometry) -> StabilityReport:
     """Evaluate both closed-form pairs plus the squared norms for one step.
 
-    Takes e.e, d.d and e.d once each and beta once, and feeds them to the
-    same closed forms that standard_gain_eigenvalues,
-    implicit_gain_eigenvalues and compute_beta evaluate, so the report
-    equals theirs bit for bit.
+    Takes e.e, d.d and e.d once each and beta = 1 / (1 + alpha ||e||^2)
+    once; the implicit pair is the standard pair's closed form evaluated at
+    alpha * beta.
     """
     e_norm_sq = float(g.e @ g.e)
     d_norm_sq = float(g.d @ g.d)

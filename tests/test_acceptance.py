@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from implicit_td.core import DiscountSpec, Transition, update_trace
+from implicit_td.core import DiscountSpec, Transition
 from implicit_td.envs import FiniteMrp
 from implicit_td.harness import (
     ExperimentConfig,
@@ -25,21 +25,12 @@ from implicit_td.harness import (
 from implicit_td.learners import (
     TdLearnerState,
     implicit_step,
-    make_learner,
     td_fixed_point_oracle,
     td_step_implicit,
-    td_step_implicit_oracle,
-    td_step_standard,
 )
-from implicit_td.stability import (
-    TransitionGeometry,
-    audit_step,
-    dense_gain_matrix,
-    implicit_gain_eigenvalues,
-    rank_two_eigenvalues,
-    standard_gain_eigenvalues,
-)
+from implicit_td.stability import TransitionGeometry, audit_step
 from implicit_td.stepsize import make_schedule
+from oracles import dense_gain_matrix, rank_two_eigenvalues, td_step_implicit_oracle
 
 
 def test_criterion_1_sherman_morrison_equivalence():
@@ -83,11 +74,11 @@ def test_criterion_2_gain_eigenvalue_closed_forms():
                 d=rng.normal(size=k),
                 alpha=float(rng.uniform(1e-3, 10.0)),
             )
-            for implicit, closed_form in (
-                (False, standard_gain_eigenvalues),
-                (True, implicit_gain_eigenvalues),
+            report = audit_step(g)
+            for implicit, (lam_plus, lam_minus) in (
+                (False, (report.lam_plus, report.lam_minus)),
+                (True, (report.lam_im_plus, report.lam_im_minus)),
             ):
-                lam_plus, lam_minus = closed_form(g)
                 m = dense_gain_matrix(g, implicit=implicit)
                 dense = np.sort(np.linalg.eigvalsh(m @ m.T))
                 worst_pair = max(
@@ -265,7 +256,7 @@ def test_criterion_7_linear_complexity_contract():
     disc = DiscountSpec(gamma=0.99, lam=0.9)
     rng = np.random.default_rng(0)
     k = 8192
-    learner = make_learner(k, disc, w0=rng.normal(size=k))
+    learner = TdLearnerState(weights=rng.normal(size=k), trace=np.zeros(k), disc=disc)
     tr = Transition(
         phi_t=rng.normal(size=k), reward=1.0, phi_next=rng.normal(size=k)
     )
@@ -276,7 +267,7 @@ def test_criterion_7_linear_complexity_contract():
     assert peak < 50 * k * 8  # a k x k float array alone would be k*k*8
 
     def step_time(k):
-        learner = make_learner(k, disc, w0=rng.normal(size=k))
+        learner = TdLearnerState(weights=rng.normal(size=k), trace=np.zeros(k), disc=disc)
         phis = rng.normal(size=(40, k))
         def run():
             for i in range(39):

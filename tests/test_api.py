@@ -1,0 +1,46 @@
+"""Every public name is one the program itself runs, not a helper only tests call."""
+
+import ast
+from pathlib import Path
+
+import implicit_td
+
+SRC = Path(implicit_td.__file__).parent
+
+
+def _reference_graph() -> dict[str | None, set[str]]:
+    """Top-level def or class -> the names its body loads; None keys module-level code.
+
+    Imports are not uses, and __init__.py only re-exports.
+    """
+    graph: dict[str | None, set[str]] = {}
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            refs = graph.setdefault(owner, set())
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    refs.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    refs.add(sub.attr)
+    return graph
+
+
+def test_every_public_name_is_reachable_from_module_level_code():
+    # module-level code (the CLI's command table and __main__ guard among it)
+    # is where the program starts; a name reached from no such code is run
+    # only by tests
+    graph = _reference_graph()
+    live: set[str] = set()
+    todo = list(graph[None])
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(graph.get(name, ()))
+    unused = sorted(set(implicit_td.__all__) - live)
+    assert not unused, f"public names no program code reaches: {unused}"

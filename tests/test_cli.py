@@ -93,6 +93,19 @@ def test_cell_prints_header_and_row(config_path, capsys):
     assert out[1].startswith("cart_pole,sarsa_implicit,0.5,0,")
 
 
+
+def test_cell_out_writes_the_sweep_row(tmp_path):
+    # cell.csv is the header plus the row run_sweep writes for that cell
+    path = tmp_path / "two_seeds.cfg"
+    path.write_text(CONFIG.replace("n_seeds = 1", "n_seeds = 2"))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    assert cli.main(
+        ["cell", str(path), "--alpha", "0.5", "--seed", "1", "--out", str(tmp_path / "cell")]
+    ) == 0
+    header, _, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert row.startswith("cart_pole,sarsa_implicit,0.5,1,")
+    assert (tmp_path / "cell" / "cell.csv").read_bytes() == f"{header}\n{row}\n".encode()
+
 def test_audit_subcommand_writes_csv(config_path, tmp_path):
     code = cli.main(
         [

@@ -69,7 +69,6 @@ def test_update_trace_linear(e1, e2, a, b):
 
 def test_transition_validation():
     tr = Transition(phi_t=np.ones(2), reward=1.0, phi_next=np.zeros(2))
-    assert tr.k == 2
     assert not tr.terminal
     with pytest.raises(DimensionMismatchError):
         Transition(phi_t=np.ones(2), reward=0.0, phi_next=np.zeros(3))

@@ -13,10 +13,17 @@ from implicit_td.learners import (
     standard_step,
     td_fixed_point_oracle,
     td_step_implicit,
-    td_step_implicit_oracle,
     td_step_standard,
 )
-from implicit_td.stability import TransitionGeometry, dense_gain_matrix
+from implicit_td.stability import TransitionGeometry
+from oracles import dense_gain_matrix, td_step_implicit_oracle
+
+
+def learner_at(weights, disc):
+    """A learner with the given weights and a zero trace."""
+    return TdLearnerState(
+        weights=np.array(weights, float), trace=np.zeros(len(weights)), disc=disc
+    )
 
 
 def transition(phi_t, reward, phi_next, terminal=False):
@@ -30,7 +37,7 @@ def transition(phi_t, reward, phi_next, terminal=False):
 
 def test_standard_step_hand_value():
     # k=1: delta = 0.1 + 0.9*0.8*0.5 - 0.5 = -0.04, w' = 0.5 - 0.5*0.04
-    learner = make_learner(1, DiscountSpec(gamma=0.9, lam=0.0), w0=np.array([0.5]))
+    learner = learner_at([0.5], DiscountSpec(gamma=0.9, lam=0.0))
     max_abs = td_step_standard(learner, transition([1.0], 0.1, [0.8]), alpha=0.5)
     assert learner.weights[0] == pytest.approx(0.48)
     # w' - w = alpha * delta * e with e = 1
@@ -40,7 +47,7 @@ def test_standard_step_hand_value():
 
 
 def test_standard_step_zero_features_no_move():
-    learner = make_learner(2, DiscountSpec(gamma=0.9, lam=0.5), w0=np.array([1.0, 2.0]))
+    learner = learner_at([1.0, 2.0], DiscountSpec(gamma=0.9, lam=0.5))
     td_step_standard(learner, transition([0, 0], 0.0, [0, 0]), alpha=5.0)
     assert np.array_equal(learner.weights, [1.0, 2.0])
 
@@ -69,14 +76,14 @@ def test_implicit_step_hand_value_and_standard_contrast():
 
 
 def test_oracle_alpha_zero_identity():
-    learner = make_learner(2, DiscountSpec(gamma=0.9, lam=0.3), w0=np.array([1.0, -2.0]))
+    learner = learner_at([1.0, -2.0], DiscountSpec(gamma=0.9, lam=0.3))
     got = td_step_implicit_oracle(learner, transition([1, 1], 0.5, [0, 1]), alpha=0.0)
     assert np.array_equal(got, [1.0, -2.0])
 
 
 def test_oracle_zero_trace_identity():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
-    learner = make_learner(2, disc, w0=np.array([3.0, 4.0]))
+    learner = learner_at([3.0, 4.0], disc)
     got = td_step_implicit_oracle(learner, transition([0, 0], 7.0, [1, 1]), alpha=2.0)
     assert got == pytest.approx([3.0, 4.0])
 
@@ -147,7 +154,7 @@ def test_zero_reward_steps_are_the_gain_matrices():
 
 def test_terminal_zeroes_bootstrap_and_resets_trace():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
-    learner = make_learner(2, disc, w0=np.array([1.0, 1.0]))
+    learner = learner_at([1.0, 1.0], disc)
     tr = transition([1.0, 0.0], 2.0, [0.0, 0.0], terminal=True)
     td_step_standard(learner, tr, alpha=0.5)
     # delta = r - phi.w = 2 - 1, no bootstrap term: w' = w + 0.5 * 1 * e
@@ -164,14 +171,14 @@ def test_delta_zero_leaves_both_rules_fixed():
     phi_next = np.array([2.0, 0.0])
     r = float(phi @ w0 - 0.5 * (phi_next @ w0))  # makes delta = 0
     for step in (td_step_standard, td_step_implicit):
-        learner = make_learner(2, disc, w0=w0)
+        learner = learner_at(w0, disc)
         step(learner, transition(phi, r, phi_next), alpha=1.3)
         assert learner.weights == pytest.approx(w0, abs=1e-14)
 
 
 def test_divergence_threshold_flags_and_freezes():
     disc = DiscountSpec(gamma=0.999, lam=0.5)
-    learner = make_learner(1, disc, w0=np.array([1.0]))
+    learner = learner_at([1.0], disc)
     # one huge step pushes past the threshold: flag set, weights kept finite
     tr = transition([1.0], DIVERGENCE_THRESHOLD * 2, [0.0])
     td_step_standard(learner, tr, alpha=1.0)
@@ -184,7 +191,7 @@ def test_divergence_threshold_flags_and_freezes():
 
 def test_nonfinite_candidate_rejected_state_unchanged():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
-    learner = make_learner(1, disc, w0=np.array([1.0]))
+    learner = learner_at([1.0], disc)
     learner.weights = np.array([1e308])
     max_abs = td_step_standard(learner, transition([1.0], 0.0, [-1.0]), alpha=1e6)
     assert learner.diverged
@@ -209,7 +216,7 @@ NONFINITE_CANDIDATES = {
 def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
     w0, trace0, phi_t, phi_next = NONFINITE_CANDIDATES[kind]
     disc = DiscountSpec(gamma=0.9, lam=0.5)
-    learner = make_learner(1, disc, w0=np.array(w0))
+    learner = learner_at(w0, disc)
     learner.trace = np.array(trace0)
     tr = transition(phi_t, 0.0, phi_next)
     kernel, step = (implicit_step, td_step_implicit) if implicit else (standard_step, td_step_standard)
