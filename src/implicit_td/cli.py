@@ -15,6 +15,7 @@ environment variable, else the working directory. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ from .core import DiscountSpec
 from .harness import (
     SWEEP_HEADER,
     ConfigError,
+    ExperimentConfig,
     fixed_point_check,
     format_sweep_row,
     load_config,
@@ -90,14 +92,16 @@ def _out_dir(flag_value: str | None) -> Path:
     return path
 
 
-def _overrides(args: argparse.Namespace) -> dict[str, object]:
-    if getattr(args, "seed", None) is not None:
-        return {"base_seed": args.seed}
-    return {}
+def _config_with_seed(args: argparse.Namespace) -> ExperimentConfig:
+    # replace() reruns ExperimentConfig's validation on the new base_seed
+    config = load_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, base_seed=args.seed)
+    return config
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config_with_seed(args)
     out = _out_dir(args.out) / "sweep.csv"
     results = run_sweep(config, parallelism=args.parallelism, out_path=out)
     n_diverged = sum(r.diverged for r in results)
@@ -106,7 +110,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config_with_seed(args)
     out = _out_dir(args.out) / "audit.csv"
     result, rows = stability_audit_run(
         config, args.alpha, args.seed_index, args.sample_every, out_path=out

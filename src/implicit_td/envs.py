@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .core import DimensionMismatchError
 
@@ -76,8 +75,11 @@ def fourier_features(basis: FourierBasis, s: np.ndarray) -> np.ndarray:
 class FiniteMrp:
     """A finite MRP: row-stochastic P, per-state rewards, features, start dist.
 
-    Validation requires strong connectivity of the transition graph so the
-    stationary distribution is unique.
+    Validation requires strong connectivity of the transition graph (edges
+    where P > 0) so the stationary distribution is unique. It is checked by
+    two breadth-first searches from state 0, one along the edges and one
+    against them: the graph is strongly connected exactly when both reach
+    every state.
     """
 
     n_states: int
@@ -100,18 +102,27 @@ class FiniteMrp:
             raise ValueError("each row of P must sum to 1 within 1e-12")
         if not math.isclose(float(self.xi0.sum()), 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError("xi0 must sum to 1")
-        n_comp, _ = connected_components(
-            self.p > 0.0, directed=True, connection="strong"
-        )
-        if n_comp != 1:
-            raise ValueError(
-                "transition graph must be strongly connected "
-                f"(found {n_comp} components)"
-            )
+        if not _strongly_connected(self.p > 0.0):
+            raise ValueError("transition graph must be strongly connected")
 
     @property
     def k(self) -> int:
         return self.features.shape[1]
+
+
+def _strongly_connected(edges: np.ndarray) -> bool:
+    """Whether state 0 reaches every state along `edges` and along `edges.T`."""
+    for adj in (edges, edges.T):
+        seen = np.zeros(adj.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            # each state enters the frontier once, so adj is read once in all
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def random_chain_mrp(n_states: int, seed: int, reward_scale: float = 1.0) -> FiniteMrp:

@@ -18,7 +18,7 @@ import struct
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -47,8 +47,6 @@ from .learners import (
 )
 from .stability import TransitionGeometry, audit_step
 from .stepsize import StepSizeSchedule, make_schedule, next_alpha
-
-OUTPUT_DIR_ENV_VAR = "IMPLICIT_TD_OUT"
 
 DOMAINS = ("puddle_world", "cart_pole", "random_mrp")
 ALGORITHMS = (
@@ -128,8 +126,8 @@ class ExperimentConfig:
         if not td and self.domain == "random_mrp":
             raise ConfigError("sarsa_* algorithms need a control domain, not random_mrp")
         # an empty grid is legal and yields a header-only sweep
-        if any(not a > 0.0 for a in self.alpha0_grid):
-            raise ConfigError("alpha0_grid values must be positive")
+        if any(not 0.0 < a < math.inf for a in self.alpha0_grid):
+            raise ConfigError("alpha0_grid values must be positive and finite")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.total_steps < 1:
@@ -148,6 +146,9 @@ class ExperimentConfig:
             raise ConfigError("mrp_states must be >= 2")
         if not 0 <= self.base_seed <= _MASK64:
             raise ConfigError("base_seed must be an unsigned 64-bit integer")
+        # negative scales are legal: they only mirror the reward range
+        if not math.isfinite(self.mrp_reward_scale):
+            raise ConfigError("mrp_reward_scale must be finite")
 
     @property
     def disc(self) -> DiscountSpec:
@@ -210,19 +211,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(str(err)) from None
 
 
-def load_config(path: str | Path, overrides: dict[str, object] | None = None) -> ExperimentConfig:
+def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    config = parse_config_text(text)
-    if overrides:
-        valid = {f.name for f in fields(ExperimentConfig)}
-        unknown = overrides.keys() - valid
-        if unknown:
-            raise ConfigError(f"unknown override fields: {sorted(unknown)}")
-        config = replace(config, **overrides)  # type: ignore[arg-type]
-    return config
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +430,8 @@ def run_cell(
     on_step: StepHook | None = None,
 ) -> SweepResult:
     """Run one (alpha0, seed index) cell to completion or divergence."""
-    if not alpha0 > 0.0:
-        raise ConfigError(f"alpha0 must be positive, got {alpha0}")
+    if not 0.0 < alpha0 < math.inf:
+        raise ConfigError(f"alpha0 must be positive and finite, got {alpha0}")
     if seed_idx < 0:
         raise ConfigError(f"seed index must be >= 0, got {seed_idx}")
     seed = cell_seed(config.base_seed, alpha0, seed_idx)
@@ -618,9 +612,8 @@ def stability_audit_run(
     return result, rows
 
 
-# the polynomial step-size schedule both learners of fixed_point_check follow
+# alpha0 of the polynomial schedule both learners of fixed_point_check follow
 FIXED_POINT_ALPHA0 = 0.5
-FIXED_POINT_EXPONENT = 0.7
 
 
 def fixed_point_check(
@@ -646,7 +639,7 @@ def fixed_point_check(
         runs[implicit] = run_td_evaluation(
             mrp,
             disc,
-            make_schedule("polynomial", FIXED_POINT_ALPHA0, exponent=FIXED_POINT_EXPONENT),
+            make_schedule("polynomial", FIXED_POINT_ALPHA0),
             steps,
             path_seed,
             implicit=implicit,

@@ -3,8 +3,7 @@
 Three kinds:
 
 * ``constant``: alpha0 forever.
-* ``polynomial``: alpha0 * (t+1)^-exponent with exponent in (0.5, 1], the
-  range in which the sequence is square-summable but not summable.
+* ``polynomial``: alpha0 * (t+1)^-POLYNOMIAL_EXPONENT.
 * ``alpha_bound``: adaptive shrinkage that caps alpha at 1/|e.(gamma*phi' -
   phi)| whenever that inner product is negative, the threshold past which an
   update flips the sign of its own TD error. The cap observed on one
@@ -25,13 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KINDS = ("constant", "polynomial", "alpha_bound")
+# in (0.5, 1]: the decaying sequence is square-summable but not summable
+POLYNOMIAL_EXPONENT = 0.7
 
 
 @dataclass(slots=True)
 class StepSizeSchedule:
     kind: str
     alpha0: float
-    exponent: float = 0.7
     alpha_current: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -39,15 +39,11 @@ class StepSizeSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
         if not self.alpha0 > 0.0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.kind == "polynomial" and not 0.5 < self.exponent <= 1.0:
-            raise ValueError(
-                f"polynomial exponent must lie in (0.5, 1], got {self.exponent}"
-            )
         self.alpha_current = self.alpha0
 
 
-def make_schedule(kind: str, alpha0: float, exponent: float = 0.7) -> StepSizeSchedule:
-    return StepSizeSchedule(kind=kind, alpha0=alpha0, exponent=exponent)
+def make_schedule(kind: str, alpha0: float) -> StepSizeSchedule:
+    return StepSizeSchedule(kind=kind, alpha0=alpha0)
 
 
 def reset_schedule(sched: StepSizeSchedule) -> None:
@@ -76,7 +72,7 @@ def next_alpha(
     if sched.kind == "constant":
         return sched.alpha0
     if sched.kind == "polynomial":
-        return sched.alpha0 * float(step_count + 1) ** -sched.exponent
+        return sched.alpha0 * float(step_count + 1) ** -POLYNOMIAL_EXPONENT
     alpha = sched.alpha_current
     curvature = float(e @ (gamma * phi_next - phi_t))
     if curvature < 0.0:

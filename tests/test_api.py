@@ -1,6 +1,10 @@
-"""Every public name is one the program itself runs, not a helper only tests call."""
+"""The package surface: every public name is one the program itself runs,
+not a helper only tests call, and the program does not import scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import implicit_td
@@ -44,3 +48,16 @@ def test_every_public_name_is_reachable_from_module_level_code():
             todo.extend(graph.get(name, ()))
     unused = sorted(set(implicit_td.__all__) - live)
     assert not unused, f"public names no program code reaches: {unused}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only a test oracle; the program must not pull it in
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import sys, implicit_td.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

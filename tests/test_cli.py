@@ -2,7 +2,7 @@
 
 import pytest
 
-from implicit_td import cli
+from implicit_td import cli, harness
 from implicit_td.core import DimensionMismatchError
 from implicit_td.harness import SWEEP_HEADER
 
@@ -59,6 +59,41 @@ def test_internal_error_exits_three(config_path, monkeypatch):
 
         monkeypatch.setattr(cli, "run_sweep", boom)
         assert cli.main(["sweep", config_path]) == 3
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = inf"),
+        CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = 0.5, 1e400"),
+        "domain = random_mrp\nalgorithm = td_implicit\nmrp_reward_scale = nan\n",
+        "domain = random_mrp\nalgorithm = td_implicit\nmrp_reward_scale = inf\n",
+    ],
+    ids=["alpha0_inf", "alpha0_1e400", "reward_scale_nan", "reward_scale_inf"],
+)
+def test_non_finite_config_value_exits_two_before_any_cell(config_text, tmp_path, monkeypatch):
+    cells = []
+    monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text)
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path)]) == 2
+    assert cells == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--seed", "-1"],
+        ["audit", "--alpha", "0.5", "--seed", "-1"],
+        ["audit", "--alpha", "inf"],
+        ["cell", "--alpha", "inf", "--seed", "0"],
+    ],
+)
+def test_bad_seed_or_alpha_flag_is_a_config_error(argv, config_path, tmp_path):
+    command, *flags = argv
+    assert cli.main([command, config_path, *flags, "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Feature basis, finite chains, and the two control benchmarks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +97,70 @@ def test_periodic_but_irreducible_chain_accepted():
         features=np.eye(2),
     )
     assert stationary_distribution(mrp) == pytest.approx([0.5, 0.5])
+
+
+def _mrp_on(p):
+    n = p.shape[0]
+    return FiniteMrp(
+        n_states=n, p=p, r=np.zeros(n), xi0=np.full(n, 1.0 / n), features=np.ones((n, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # 0 reaches every state, but absorbing state 2 reaches no other
+        np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+        # every state reaches 0, but 0 never reaches state 2
+        np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]),
+    ],
+)
+def test_chain_unreachable_in_one_direction_rejected(p):
+    with pytest.raises(ValueError, match="strongly connected"):
+        _mrp_on(p)
+
+
+def test_strong_connectivity_agrees_with_scipy_on_random_graphs():
+    # n = 1 included: a lone state is strongly connected, with or without its self-loop
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(2024)
+    checked_mrps = 0
+    for n in range(1, 13):
+        for density in np.linspace(0.0, 1.0, 11):
+            for _ in range(25):
+                edges = rng.random((n, n)) < density
+                # self-loops drawn on their own, so sparse graphs have them too
+                np.fill_diagonal(edges, rng.random(n) < 0.5)
+                n_comp, _ = csgraph.connected_components(
+                    edges, directed=True, connection="strong"
+                )
+                expected = n_comp == 1
+                assert envs._strongly_connected(edges) == expected, edges
+                out_degree = edges.sum(axis=1, keepdims=True)
+                if np.all(out_degree > 0):
+                    # P is row-stochastic with exactly these edges
+                    p = edges / out_degree
+                    checked_mrps += 1
+                    if expected:
+                        _mrp_on(p)
+                    else:
+                        with pytest.raises(ValueError, match="strongly connected"):
+                            _mrp_on(p)
+    assert checked_mrps > 1000
+
+
+def test_large_ring_accepted_and_cut_ring_rejected():
+    # a ring is the slowest case: the search takes one step per state
+    n = 2000
+    p = np.zeros((n, n))
+    p[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    start = time.perf_counter()
+    _mrp_on(p)
+    assert time.perf_counter() - start < 1.0
+    p[n - 1] = 0.0
+    p[n - 1, n - 1] = 1.0  # state n-1 now absorbs: the ring is cut
+    with pytest.raises(ValueError, match="strongly connected"):
+        _mrp_on(p)
 
 
 def test_mrp_episode_horizon_and_determinism():

@@ -19,8 +19,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # OpenBLAS picks for the CPU core at run time, and other kernels (Haswell or
 # Zen on AVX2-only machines) round some sums differently, which moves bytes.
 RECORDED_ON = (
-    "x86_64, OpenBLAS core SkylakeX (AVX-512), numpy 2.4.6, scipy 1.17.1, "
-    "Python 3.11.7"
+    "x86_64, OpenBLAS core SkylakeX (AVX-512), numpy 2.4.6, Python 3.11.7"
 )
 
 SARSA_ALGORITHMS = (

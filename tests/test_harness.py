@@ -1,5 +1,6 @@
 """Config parsing, seed derivation, sweep determinism, CSV emission."""
 
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from implicit_td.harness import (
     fixed_point_check,
     float_bits,
     format_sweep_row,
-    load_config,
     mix64,
     parse_config_text,
     run_cell,
@@ -115,16 +115,6 @@ def test_parse_config_rejects_garbage():
         parse_config_text("domain = cart_pole\nalgorithm = sarsa_implicit\ngamma = hot\n")
 
 
-def test_load_config_flag_overrides_win(tmp_path):
-    path = tmp_path / "sweep.cfg"
-    path.write_text("domain = cart_pole\nalgorithm = sarsa_implicit\ngamma = 0.9\n")
-    cfg = load_config(path, overrides={"gamma": 0.5, "base_seed": 99})
-    assert cfg.gamma == 0.5
-    assert cfg.base_seed == 99
-    with pytest.raises(ConfigError):
-        load_config(path, overrides={"nope": 1})
-
-
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         tiny_config(domain="gridworld")
@@ -135,11 +125,18 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         tiny_config(alpha0_grid=(0.5, -1.0))
     with pytest.raises(ConfigError):
+        tiny_config(alpha0_grid=(math.inf,))
+    with pytest.raises(ConfigError):
         tiny_config(eval_window=301)
     with pytest.raises(ConfigError):
         tiny_config(n_seeds=0)
     with pytest.raises(ConfigError):
         tiny_config(gamma=1.0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(
+                domain="random_mrp", algorithm="td_implicit", mrp_reward_scale=scale
+            )
 
 
 def test_default_grid_is_the_powers_of_two():
@@ -184,6 +181,8 @@ def test_run_cell_rejects_bad_cell_coordinates():
     cfg = tiny_config()
     with pytest.raises(ConfigError):
         run_cell(cfg, -0.5, 0)
+    with pytest.raises(ConfigError):
+        run_cell(cfg, math.inf, 0)
     with pytest.raises(ConfigError):
         run_cell(cfg, 0.5, -1)
 
