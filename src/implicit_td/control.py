@@ -70,7 +70,7 @@ def stack_features(phi_s: np.ndarray, action: int, n_actions: int) -> np.ndarray
 
 def action_values(agent: SarsaAgent, phi_s: np.ndarray) -> np.ndarray:
     """Q(s, .) for all actions: one matvec against the blocked weight vector."""
-    return agent.learner.weights.reshape(agent.n_actions, agent.k_state) @ phi_s
+    return agent.learner.weights.reshape(agent.n_actions, agent.k_state).dot(phi_s)
 
 
 def epsilon_greedy(

@@ -62,7 +62,7 @@ def fourier_features(basis: FourierBasis, s: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected point of shape ({basis.dims},), got {s.shape}"
         )
-    z = basis.coefficients @ s  # fresh array: scale and take the cosine in place
+    z = basis.coefficients.dot(s)  # fresh array: scale and take the cosine in place
     z *= np.pi
     return np.cos(z, out=z)
 

@@ -622,7 +622,6 @@ def fixed_point_check(
     disc: DiscountSpec,
     steps: int,
     target_tol: float | None = None,
-    reward_scale: float = 1.0,
 ) -> FixedPointReport:
     """Run both learners on a seeded random chain against the series oracle.
 
@@ -631,7 +630,7 @@ def fixed_point_check(
     1000-step check where the max-abs error is within it, having sampled no
     state past that check.
     """
-    mrp = random_chain_mrp(n_states, mix64(seed), reward_scale)
+    mrp = random_chain_mrp(n_states, mix64(seed))
     w_star = td_fixed_point_oracle(mrp, disc)
     path_seed = mix64(seed ^ 1)
     runs = {}

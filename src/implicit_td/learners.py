@@ -8,8 +8,11 @@ features, then applies its rule with the fresh trace:
     implicit:  w' solves w' = w + alpha * [r + gamma*phi'.w
                                            + gamma*lambda*(e_prev.w) - e.w'] * e
 
-The implicit solution is evaluated with two inner products and a scalar
-divide (rank-one inverse), never a k x k matrix, so both steps cost O(k).
+The standard step takes two inner products (phi'.w, phi.w); the implicit
+step takes four (phi'.w, e_prev.w, e.e, e.u) and one scalar divide for the
+rank-one inverse, never a k x k matrix, so both steps cost O(k). Every inner
+product is an ndarray.dot call, which reaches BLAS ddot without the matmul
+operator's per-call dispatch.
 Terminal transitions zero the bootstrap term and reset the trace after the
 update.
 
@@ -87,8 +90,8 @@ def standard_step(
     validation: returns (w', e). `decay` is gamma*lambda."""
     e = e_prev * decay
     e += phi
-    bootstrap = 0.0 if terminal else gamma * float(phi_next @ w)
-    delta = reward + bootstrap - float(phi @ w)
+    bootstrap = 0.0 if terminal else gamma * float(phi_next.dot(w))
+    delta = reward + bootstrap - float(phi.dot(w))
     return w + (alpha * delta) * e, e
 
 
@@ -106,11 +109,11 @@ def implicit_step(
     """
     e = e_prev * decay
     e += phi
-    bootstrap = 0.0 if terminal else gamma * float(phi_next @ w)
-    bracket = reward + bootstrap + decay * float(e_prev @ w)
+    bootstrap = 0.0 if terminal else gamma * float(phi_next.dot(w))
+    bracket = reward + bootstrap + decay * float(e_prev.dot(w))
     u = w + (alpha * bracket) * e
-    shrink = alpha / (1.0 + alpha * float(e @ e))
-    return u - (shrink * float(e @ u)) * e, e
+    shrink = alpha / (1.0 + alpha * float(e.dot(e)))
+    return u - (shrink * float(e.dot(u))) * e, e
 
 
 def td_step_standard(state: TdLearnerState, tr: Transition, alpha: float) -> float:

@@ -87,9 +87,9 @@ def audit_step(g: TransitionGeometry) -> StabilityReport:
     once; the implicit pair is the standard pair's closed form evaluated at
     alpha * beta.
     """
-    e_norm_sq = float(g.e @ g.e)
-    d_norm_sq = float(g.d @ g.d)
-    e_dot_d = float(g.e @ g.d)
+    e_norm_sq = float(g.e.dot(g.e))
+    d_norm_sq = float(g.d.dot(g.d))
+    e_dot_d = float(g.e.dot(g.d))
     beta = 1.0 / (1.0 + g.alpha * e_norm_sq)
     lam_plus, lam_minus = _gram_eig_pair(g.alpha, e_norm_sq, d_norm_sq, e_dot_d)
     lam_im_plus, lam_im_minus = _gram_eig_pair(

@@ -74,7 +74,7 @@ def next_alpha(
     if sched.kind == "polynomial":
         return sched.alpha0 * float(step_count + 1) ** -POLYNOMIAL_EXPONENT
     alpha = sched.alpha_current
-    curvature = float(e @ (gamma * phi_next - phi_t))
+    curvature = float(e.dot(gamma * phi_next - phi_t))
     if curvature < 0.0:
         # curvature == 0 would divide by zero; the sign test excludes it.
         sched.alpha_current = min(sched.alpha_current, 1.0 / -curvature)

@@ -1,13 +1,19 @@
 """The package surface: every public name is one the program itself runs,
-not a helper only tests call, and the program does not import scipy."""
+not a helper only tests call, the program does not import scipy, and the
+per-step functions take their dots without the matmul operator."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import implicit_td
+from implicit_td import control, envs, learners, stability, stepsize
 
 SRC = Path(implicit_td.__file__).parent
 
@@ -61,3 +67,24 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        learners.standard_step,
+        learners.implicit_step,
+        stepsize.next_alpha,
+        stability.audit_step,
+        control.action_values,
+        envs.fourier_features,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_per_step_functions_use_ndarray_dot_not_matmul(func):
+    # `a @ b` pays the matmul gufunc's dispatch on every call; `a.dot(b)`
+    # reaches the same BLAS routine, so the same bytes, with less overhead
+    # at the sizes these functions run at (k = 5 to 512)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(getattr(n, "op", None), ast.MatMult)]
+    assert not lines, f"{func.__name__} uses @ on lines {lines} of its source"

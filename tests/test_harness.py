@@ -422,12 +422,20 @@ def test_audit_finds_expanding_standard_steps_on_puddle():
 
 
 def test_fixed_point_check_zero_rewards_exact():
-    report = fixed_point_check(
-        4, seed=0, disc=DiscountSpec(gamma=0.9, lam=0.5), steps=500, reward_scale=0.0
-    )
-    assert report.err_standard == 0.0
-    assert report.err_implicit == 0.0
-    assert report.w_star == pytest.approx(np.zeros(4), abs=1e-12)
+    # zero rewards: w* = 0 and both learners stay at their zero start
+    mrp = random_chain_mrp(4, mix64(0), 0.0)
+    disc = DiscountSpec(gamma=0.9, lam=0.5)
+    w_star = td_fixed_point_oracle(mrp, disc)
+    err = {}
+    for implicit in (False, True):
+        run = run_td_evaluation(
+            mrp, disc, make_schedule("polynomial", harness.FIXED_POINT_ALPHA0),
+            500, mix64(1), implicit=implicit,
+        )
+        err[implicit] = float(np.max(np.abs(run.weights - w_star)))
+    assert err[False] == 0.0
+    assert err[True] == 0.0
+    assert w_star == pytest.approx(np.zeros(4), abs=1e-12)
 
 
 def test_fixed_point_check_converges_on_easy_chain():
