@@ -304,17 +304,20 @@ def run_td_evaluation(
 ) -> TdEvalResult:
     """Evaluate the MRP's fixed policy for total_steps transitions.
 
-    The state path comes from default_rng(seed) and is sampled block-ahead:
-    sample_state_path draws the start state, then each CHECK_EVERY-step
-    block continues the path from its last state just before the block
-    runs, so a run that stops early samples no state past its last check.
-    The states equal those of one presampled path of total_steps + 1.
+    This is the one-row case of the lockstep driver _evaluate_rows, which
+    td_* sweeps run on many rows at once; one row takes 1-D arrays and
+    Python floats. The state path comes from default_rng(seed) and is
+    sampled block-ahead: sample_state_path draws the start state, then each
+    CHECK_EVERY-step block continues the path from its last state just
+    before the block runs, so a run that stops early samples no state past
+    its last check. The states equal those of one presampled path of
+    total_steps + 1.
 
-    Every step takes its alpha from next_alpha and applies the learner's
-    kernel (implicit_step or standard_step) to plain arrays. When on_step is
-    set it is called after each step with (Transition, alpha, trace used);
-    the Transition is built only for the hook, which observes and never
-    changes the result.
+    Every step takes its alpha from next_alpha, or straight from a constant
+    schedule's alpha0, and applies the learner's kernel (implicit_step or
+    standard_step) to plain arrays. When on_step is set it is called after
+    each step with (Transition, alpha, trace used); the Transition is built
+    only for the hook, which observes and never changes the result.
 
     Divergence (non-finite weights, or max-abs weight above
     DIVERGENCE_THRESHOLD) and the optional early-exit target are checked
@@ -323,65 +326,140 @@ def run_td_evaluation(
     total_steps, and max_weight_abs is the largest max-abs weight seen at a
     check (_NONFINITE_NORM at least, when the weights went non-finite).
     """
-    rng = np.random.default_rng(seed)
-    visited = [sample_state_path(mrp, 1, rng)]
-    s = int(visited[0][0])
-    feats = list(mrp.features)  # row views: a list indexes faster than the matrix
-    rewards = mrp.r.tolist()
+    (result,) = _evaluate_rows(
+        mrp, disc, [schedule], total_steps, [seed], implicit, eval_window,
+        target_weights, target_tol, on_step,
+    )
+    return result
+
+
+@dataclass(slots=True)
+class _PathRow:
+    """One row of a lockstep TD evaluation: its path generator, the blocks of
+    states it has drawn, what its checks have seen, and its result."""
+
+    rng: np.random.Generator
+    visited: list[np.ndarray]
+    max_abs: float = 0.0
+    diverged: bool = False
+    result: TdEvalResult | None = None
+
+
+def _evaluate_rows(
+    mrp: FiniteMrp,
+    disc: DiscountSpec,
+    schedules: list[StepSizeSchedule],
+    total_steps: int,
+    seeds: list[int],
+    implicit: bool,
+    eval_window: int | None = None,
+    target_weights: np.ndarray | None = None,
+    target_tol: float | None = None,
+    on_step: StepHook | None = None,
+) -> list[TdEvalResult]:
+    """The TD-evaluation loop over B = len(seeds) rows in lockstep.
+
+    Row i follows its own path from default_rng(seeds[i]) with step sizes
+    from schedules[i], exactly as run_td_evaluation documents for one row.
+    One row steps 1-D weights with Python-float rewards and alphas. B > 1
+    rows step a (B, k) stack with (B, 1) reward and alpha columns through
+    the same kernel, which gives every row the bits of its own one-row run;
+    the stack needs constant schedules, and takes no hook. Each step gathers
+    the rows' next features once and reuses them as the following step's
+    current features. At a check, a row that trips leaves the stack and
+    draws no further block.
+    """
+    single = len(seeds) == 1
+    if not single and any(s.kind != "constant" for s in schedules):
+        raise ValueError("rows in lockstep need constant step-size schedules")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = [_PathRow(rng, [sample_state_path(mrp, 1, rng)]) for rng in rngs]
+    starts = [int(row.visited[0][0]) for row in rows]
+    schedule = schedules[0]
+    varying = schedule.kind != "constant"
+    alpha_bound = schedule.kind == "alpha_bound"
+    if single:
+        alpha = schedule.alpha0
+        s = starts[0]
+        # list lookups of row views and floats: faster than indexing the arrays
+        phi_of = list(mrp.features).__getitem__
+        reward_of = mrp.r.tolist().__getitem__
+    else:
+        alpha = np.array([[sched.alpha0] for sched in schedules])
+        s = np.array(starts)
+        # take() gathers rows faster than fancy indexing does
+        features, reward_col = mrp.features, mrp.r[:, None]
+        phi_of = lambda states: features.take(states, 0)
+        reward_of = lambda states: reward_col.take(states, 0)
+    phi2 = phi_of(s)
+    w = np.zeros_like(phi2)
+    e = np.zeros_like(phi2)
     step = implicit_step if implicit else standard_step
-    k = mrp.k
-    w = np.zeros(k)
-    e = np.zeros(k)
     gamma = disc.gamma
     decay = disc.trace_decay
-    alpha_bound = schedule.kind == "alpha_bound"
-    max_abs = 0.0
-    diverged = False
+    live = rows
     steps_done = 0
-    phi2 = feats[s]
     # a diverging run keeps stepping on overflowed weights until the next
     # check; those steps' overflow is expected, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while steps_done < total_steps:
-            block = sample_state_path(
-                mrp, min(CHECK_EVERY, total_steps - steps_done), rng, start=s
-            )
-            visited.append(block)
-            for t, s_next in enumerate(block.tolist(), steps_done):
+        while live:
+            n = min(CHECK_EVERY, total_steps - steps_done)
+            for row in live:
+                row.visited.append(
+                    sample_state_path(mrp, n, row.rng, start=int(row.visited[-1][-1]))
+                )
+            blocks = [row.visited[-1] for row in live]
+            path = blocks[0].tolist() if single else np.stack(blocks, axis=1)
+            for t, s_next in enumerate(path, steps_done):
                 phi = phi2
-                phi2 = feats[s_next]
-                reward = rewards[s]
+                phi2 = phi_of(s_next)
+                reward = reward_of(s)
                 s = s_next
-                # only alpha_bound reads the trace argument: the trace entering this step
-                e_in = update_trace(e, phi, disc) if alpha_bound else phi
-                alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
+                if varying:
+                    # only alpha_bound reads the trace argument: the trace entering this step
+                    e_in = update_trace(e, phi, disc) if alpha_bound else phi
+                    alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
                 w, e = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
                 if on_step is not None:
                     on_step(Transition(phi_t=phi, reward=reward, phi_next=phi2), alpha, e)
-            steps_done += len(block)
-            if not np.isfinite(w).all():
-                diverged = True
-                max_abs = max(max_abs, _NONFINITE_NORM)
-                break
-            cur = float(np.max(np.abs(w)))
-            if cur > max_abs:
-                max_abs = cur
-            if cur > DIVERGENCE_THRESHOLD:
-                diverged = True
-                break
-            if (
-                target_weights is not None
-                and target_tol is not None
-                and float(np.max(np.abs(w - target_weights))) <= target_tol
-            ):
-                break
+            steps_done += n
+            keep = []
+            for i, (row, weights) in enumerate(zip(live, np.atleast_2d(w))):
+                # max propagates NaN and +-inf: cur is finite iff every weight is
+                cur = float(np.abs(weights).max())
+                finite = math.isfinite(cur)
+                row.max_abs = max(row.max_abs, cur if finite else _NONFINITE_NORM)
+                row.diverged = not finite or cur > DIVERGENCE_THRESHOLD
+                if (
+                    row.diverged
+                    or steps_done == total_steps
+                    or (
+                        target_weights is not None
+                        and target_tol is not None
+                        and float(np.max(np.abs(weights - target_weights))) <= target_tol
+                    )
+                ):
+                    row.result = _row_result(mrp, row, weights, steps_done, eval_window)
+                else:
+                    keep.append(i)
+            if len(keep) < len(live):
+                live = [live[i] for i in keep]
+                if live:  # only a stack can lose some rows and keep others
+                    w, e, phi2, s, alpha = w[keep], e[keep], phi2[keep], s[keep], alpha[keep]
+    return [row.result for row in rows]
+
+
+def _row_result(
+    mrp: FiniteMrp, row: _PathRow, weights: np.ndarray, steps_done: int,
+    eval_window: int | None,
+) -> TdEvalResult:
     # the reward of every state but the last, whose successor was never drawn
-    state_rewards = mrp.r[np.concatenate(visited)[:-1]]
+    state_rewards = mrp.r[np.concatenate(row.visited)[:-1]]
     return TdEvalResult(
-        weights=w,
+        weights=weights,
         steps_completed=steps_done,
-        diverged=diverged,
-        max_weight_abs=max_abs,
+        diverged=row.diverged,
+        max_weight_abs=row.max_abs,
         mean_reward_last_window=_window_mean(state_rewards, steps_done, eval_window),
     )
 
@@ -447,16 +525,7 @@ def run_cell(
             eval_window=config.eval_window,
             on_step=on_step,
         )
-        return SweepResult(
-            domain=config.domain,
-            algorithm=config.algorithm,
-            alpha0=alpha0,
-            seed=seed_idx,
-            final_avg_reward=result.mean_reward_last_window,
-            diverged=result.diverged,
-            max_weight_norm=result.max_weight_abs,
-            steps_completed=result.steps_completed,
-        )
+        return _td_sweep_row(config, alpha0, seed_idx, result)
 
     env = _make_env(config)
     basis = make_fourier_basis(config.fourier_order, env.obs_dim)
@@ -516,8 +585,22 @@ def run_cell(
     )
 
 
-def _cell_worker(args: tuple[ExperimentConfig, float, int]) -> SweepResult:
-    config, alpha0, seed_idx = args
+def _td_sweep_row(
+    config: ExperimentConfig, alpha0: float, seed_idx: int, result: TdEvalResult
+) -> SweepResult:
+    return SweepResult(
+        domain=config.domain,
+        algorithm=config.algorithm,
+        alpha0=alpha0,
+        seed=seed_idx,
+        final_avg_reward=result.mean_reward_last_window,
+        diverged=result.diverged,
+        max_weight_norm=result.max_weight_abs,
+        steps_completed=result.steps_completed,
+    )
+
+
+def _cell_worker(config: ExperimentConfig, alpha0: float, seed_idx: int) -> SweepResult:
     try:
         return run_cell(config, alpha0, seed_idx)
     except Exception as err:  # record in-row, keep the sweep going
@@ -541,6 +624,40 @@ def _cell_worker(args: tuple[ExperimentConfig, float, int]) -> SweepResult:
         )
 
 
+def _batch_worker(
+    args: tuple[ExperimentConfig, list[tuple[float, int]]],
+) -> list[SweepResult]:
+    """Rows of a batch of (alpha0, seed index) cells, in the batch's order.
+
+    td_* cells run in lockstep through _evaluate_rows. If that raises, the
+    cells rerun one at a time, so only a failing cell gets an error row.
+    """
+    config, cells = args
+    if config.algorithm.startswith("td_"):
+        variant, sched_kind = _algorithm_parts(config.algorithm)
+        try:
+            results = _evaluate_rows(
+                _shared_mrp(config),
+                config.disc,
+                [make_schedule(sched_kind, alpha0) for alpha0, _ in cells],
+                config.total_steps,
+                [cell_seed(config.base_seed, alpha0, idx) for alpha0, idx in cells],
+                implicit=(variant == "implicit"),
+                eval_window=config.eval_window,
+            )
+            return [
+                _td_sweep_row(config, alpha0, idx, result)
+                for (alpha0, idx), result in zip(cells, results)
+            ]
+        except Exception as err:
+            print(
+                f"lockstep batch of {len(cells)} cells failed ({type(err).__name__}); "
+                "rerunning its cells one at a time",
+                file=sys.stderr,
+            )
+    return [_cell_worker(config, alpha0, idx) for alpha0, idx in cells]
+
+
 def run_sweep(
     config: ExperimentConfig,
     parallelism: int = 1,
@@ -549,7 +666,11 @@ def run_sweep(
     """Run the alpha0 x seed grid; optionally write sweep.csv at out_path.
 
     parallelism is capped at the number of cells and of CPUs; at 1 (or an
-    empty grid) the cells run in this process.
+    empty grid) the cells run in this process. A td_* grid runs in lockstep
+    (see _evaluate_rows): as one batch in this process, or split into one
+    contiguous batch per worker. A sarsa_* grid runs cell by cell. Either
+    way every row equals run_cell's for its cell, and rows come out sorted
+    by (alpha0, seed index).
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -558,13 +679,16 @@ def run_sweep(
         for alpha0 in config.alpha0_grid
         for idx in range(config.n_seeds)
     )
-    cells = [(config, alpha0, idx) for alpha0, idx in grid]
-    workers = min(parallelism, len(cells), os.cpu_count() or 1)
+    workers = min(parallelism, len(grid), os.cpu_count() or 1)
+    # td_*: one lockstep batch per worker; sarsa_*: one cell per task
+    td = config.algorithm.startswith("td_")
+    size = math.ceil(len(grid) / workers) if td and grid else 1
+    batches = [(config, grid[i : i + size]) for i in range(0, len(grid), size)]
     if workers <= 1:
-        results = [_cell_worker(cell) for cell in cells]
+        results = [row for batch in batches for row in _batch_worker(batch)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_worker, cells))
+            results = [row for rows in pool.map(_batch_worker, batches) for row in rows]
     if out_path is not None:
         write_sweep_csv(results, out_path)
     return results

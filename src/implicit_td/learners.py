@@ -10,9 +10,7 @@ features, then applies its rule with the fresh trace:
 
 The standard step takes two inner products (phi'.w, phi.w); the implicit
 step takes four (phi'.w, e_prev.w, e.e, e.u) and one scalar divide for the
-rank-one inverse, never a k x k matrix, so both steps cost O(k). Every inner
-product is an ndarray.dot call, which reaches BLAS ddot without the matmul
-operator's per-call dispatch.
+rank-one inverse, never a k x k matrix, so both steps cost O(k).
 Terminal transitions zero the bootstrap term and reset the trace after the
 update.
 
@@ -20,6 +18,13 @@ Each rule is written once, as an array-level kernel (standard_step,
 implicit_step). The TD-evaluation driver calls the kernels directly;
 td_step_standard and td_step_implicit wrap them with input checks and the
 divergence contract below, and return the max-abs weight after the step.
+
+Both kernels are rank-polymorphic. On one (k,) row, reward and alpha are
+floats and every inner product is an ndarray.dot call, which reaches BLAS
+ddot without the matmul operator's per-call dispatch. On a (B, k) stack of
+rows stepping in lockstep, reward and alpha are (B, 1) columns and the inner
+products are np.vecdot over the rows, which makes the same ddot call once
+per row. So each row of a stack comes out bit for bit as its own 1-D call.
 
 Divergence contract: a step that would produce non-finite weights sets the
 `diverged` flag and leaves the state otherwise untouched; a finite result
@@ -82,24 +87,37 @@ def _commit(
     return max_abs
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Inner product of matching rows: a float for (k,) rows, a (B, 1)
+    column for (B, k) stacks. Either way BLAS ddot runs once per row."""
+    if a.ndim == 1:
+        return float(a.dot(b))
+    return np.vecdot(a, b, keepdims=True)
+
+
 def standard_step(
     w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
-    reward: float, alpha: float, gamma: float, decay: float, terminal: bool,
+    reward: float | np.ndarray, alpha: float | np.ndarray,
+    gamma: float, decay: float, terminal: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard TD(lambda) kernel on plain arrays and floats, without
-    validation: returns (w', e). `decay` is gamma*lambda."""
+    """Standard TD(lambda) kernel on plain arrays, without validation:
+    returns (w', e). `decay` is gamma*lambda. Rows are (k,) arrays with float
+    reward and alpha, or (B, k) stacks with (B, 1) columns; `terminal`
+    applies to every row."""
     e = e_prev * decay
     e += phi
-    bootstrap = 0.0 if terminal else gamma * float(phi_next.dot(w))
-    delta = reward + bootstrap - float(phi.dot(w))
+    bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
+    delta = reward + bootstrap - _row_dot(phi, w)
     return w + (alpha * delta) * e, e
 
 
 def implicit_step(
     w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
-    reward: float, alpha: float, gamma: float, decay: float, terminal: bool,
+    reward: float | np.ndarray, alpha: float | np.ndarray,
+    gamma: float, decay: float, terminal: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Implicit TD(lambda) kernel via the rank-one inverse: returns (w', e).
+    Rows and scalars take the shapes standard_step takes.
 
     With b = r + gamma*phi'.w + gamma*lambda*(e_prev.w), the fixed point of
     w' = w + alpha*(b - e.w')*e is
@@ -109,11 +127,11 @@ def implicit_step(
     """
     e = e_prev * decay
     e += phi
-    bootstrap = 0.0 if terminal else gamma * float(phi_next.dot(w))
-    bracket = reward + bootstrap + decay * float(e_prev.dot(w))
+    bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
+    bracket = reward + bootstrap + decay * _row_dot(e_prev, w)
     u = w + (alpha * bracket) * e
-    shrink = alpha / (1.0 + alpha * float(e.dot(e)))
-    return u - (shrink * float(e.dot(u))) * e, e
+    shrink = alpha / (1.0 + alpha * _row_dot(e, e))
+    return u - (shrink * _row_dot(e, u)) * e, e
 
 
 def td_step_standard(state: TdLearnerState, tr: Transition, alpha: float) -> float:

@@ -377,6 +377,108 @@ def test_run_sweep_clamps_parallelism(monkeypatch, grid, n_seeds, parallelism, c
     assert _RecordingPool.created == ([] if workers is None else [workers])
 
 
+# --- lockstep td_* sweeps
+
+
+def td_config(**over):
+    base = dict(
+        domain="random_mrp",
+        algorithm="td_standard",
+        alpha0_grid=(0.125, 2.0, 8.0),
+        total_steps=2500,
+        n_seeds=2,
+        eval_window=700,
+        base_seed=3,
+    )
+    base.update(over)
+    return ExperimentConfig(**base)
+
+
+LOCKSTEP_CONFIGS = {
+    "2_states_standard_window_1": td_config(mrp_states=2, eval_window=1),
+    "2_states_implicit": td_config(mrp_states=2, algorithm="td_implicit"),
+    "5_states_standard_window_whole": td_config(mrp_states=5, eval_window=2500),
+    "5_states_implicit_window_1300": td_config(
+        mrp_states=5, algorithm="td_implicit", eval_window=1300
+    ),
+    "50_states_standard": td_config(mrp_states=50, n_seeds=3),
+    "50_states_implicit": td_config(mrp_states=50, algorithm="td_implicit", n_seeds=3),
+    # the golden cell whose weights pass 1e8 at step 1529, between two checks
+    "5_states_between_checks": td_config(
+        alpha0_grid=(0.125, 1.375, 2.0, 8.0), total_steps=5000, eval_window=2500,
+        base_seed=7, n_seeds=1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_CONFIGS))
+def test_td_sweep_rows_equal_their_cells(monkeypatch, name):
+    config = LOCKSTEP_CONFIGS[name]
+    sampled = {}  # path seed -> states drawn
+
+    def counting(mrp, length, rng, *args, **kwargs):
+        seed = rng.bit_generator.seed_seq.entropy
+        sampled[seed] = sampled.get(seed, 0) + length
+        return sample_state_path(mrp, length, rng, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_state_path", counting)
+    rows = run_sweep(config)
+    stacked = dict(sampled)
+    cells = [run_cell(config, row.alpha0, row.seed) for row in rows]
+    assert rows == cells
+    for row in rows:
+        # the start state and one state per step: nothing past the last check
+        assert stacked[cell_seed(config.base_seed, row.alpha0, row.seed)] == (
+            row.steps_completed + 1
+        )
+    if config.algorithm == "td_standard":
+        # rows left the stack at different checks
+        assert {r.diverged for r in rows} == {False, True}
+        assert len({r.steps_completed for r in rows}) > 1
+    if name == "5_states_between_checks":
+        (row,) = [r for r in rows if r.alpha0 == 1.375]
+        assert (row.diverged, row.steps_completed) == (True, 2000)
+
+
+def test_td_sweep_bytes_do_not_depend_on_parallelism(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    config = td_config(alpha0_grid=(0.125, 1.0, 2.0, 8.0), n_seeds=3)
+    paths = [tmp_path / f"p{parallelism}.csv" for parallelism in (1, 2)]
+    for parallelism, path in zip((1, 2), paths):
+        run_sweep(config, parallelism=parallelism, out_path=path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_td_sweep_empty_grid_header_only(tmp_path, parallelism):
+    out = tmp_path / "sweep.csv"
+    assert run_sweep(td_config(alpha0_grid=()), parallelism, out) == []
+    assert out.read_text() == SWEEP_HEADER + "\n"
+
+
+def test_failing_lockstep_batch_reruns_its_cells_one_at_a_time(monkeypatch, capsys):
+    config = td_config(alpha0_grid=(0.125, 1.0), total_steps=1500)
+    bad_seed = cell_seed(config.base_seed, 1.0, 0)
+    real = harness._evaluate_rows
+
+    def failing(mrp, disc, schedules, total_steps, seeds, *args, **kwargs):
+        if bad_seed in seeds:
+            raise RuntimeError("injected failure")
+        return real(mrp, disc, schedules, total_steps, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_evaluate_rows", failing)
+    rows = run_sweep(config)
+    assert [r.status for r in rows] == ["ok", "ok", "error:RuntimeError", "ok"]
+    assert (rows[2].alpha0, rows[2].seed) == (1.0, 0)
+    monkeypatch.undo()
+    for row in rows[:2] + rows[3:]:
+        assert row == run_cell(config, row.alpha0, row.seed)
+    err = capsys.readouterr().err
+    assert "lockstep batch of 4 cells failed (RuntimeError)" in err
+    assert "cell alpha0=1.0 seed=0 failed: RuntimeError: injected failure" in err
+    assert err.count("failed:") == 1
+
+
 # --- stability audit
 
 

@@ -236,6 +236,33 @@ def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
     assert max_abs == abs(w0[0])  # the pre-step max-abs
 
 
+@pytest.mark.parametrize("batch", [1, 2, 8, 33])
+@pytest.mark.parametrize("k", [1, 2, 5, 50, 64, 512])
+def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
+    # a (B, k) stack with (B, 1) reward and alpha columns, each row scaled by
+    # 1e-3, 1 or 1e3 so that rows of very different size share one call
+    rng = np.random.default_rng(1000 * k + batch)
+    gamma, decay = 0.95, 0.95 * 0.7
+    for offset in range(3):
+        scale = np.array([(1e-3, 1.0, 1e3)[(i + offset) % 3] for i in range(batch)])[:, None]
+        w, e_prev, phi, phi_next = (scale * rng.normal(size=(batch, k)) for _ in range(4))
+        reward = scale * rng.normal(size=(batch, 1))
+        alpha = rng.uniform(1e-3, 2.0, size=(batch, 1))
+        for kernel in (standard_step, implicit_step):
+            for terminal in (False, True):
+                w_new, e = kernel(
+                    w, e_prev, phi, phi_next, reward, alpha, gamma, decay, terminal
+                )
+                assert w_new.shape == e.shape == (batch, k)
+                for i in range(batch):
+                    w_row, e_row = kernel(
+                        w[i], e_prev[i], phi[i], phi_next[i], float(reward[i, 0]),
+                        float(alpha[i, 0]), gamma, decay, terminal,
+                    )
+                    assert w_new[i].tobytes() == w_row.tobytes(), (kernel.__name__, i)
+                    assert e[i].tobytes() == e_row.tobytes(), (kernel.__name__, i)
+
+
 def test_alpha_must_be_positive():
     learner = make_learner(1, DiscountSpec(gamma=0.9, lam=0.5))
     with pytest.raises(ValueError):
