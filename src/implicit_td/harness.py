@@ -7,7 +7,8 @@ order or parallelism; rows are emitted sorted by (alpha0, seed index).
 
 CSV dialect: comma separated, header row, LF line endings, floats via repr
 (shortest round-trip), booleans as true/false. No field ever contains a
-comma, so there is no quoting.
+comma, so there is no quoting. Each row dataclass formats through one '%'
+template built from its field types (see _csv_schema).
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import os
 import struct
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -249,14 +249,44 @@ class AuditRow:
     ratio: float
 
 
-def _csv_schema(row_type: type) -> tuple[str, Callable[[object], tuple]]:
-    """The CSV header of a row dataclass and a getter of its values, in field order."""
+# '%' conversion of each CSV field type; a bool goes in as the text true/false
+_CSV_CONVERSIONS = {float: "%r", bool: "%s", int: "%s", str: "%s"}
+
+
+def _csv_schema(row_type: type) -> tuple[str, Callable[[object], str]]:
+    """The CSV header of a row dataclass and a formatter of its rows.
+
+    A row formats through one '%' template in field order: float fields as
+    %r (repr, shortest round-trip) once all of them are checked finite,
+    bool fields as true/false, int and str fields as %s.
+    """
+    hints = get_type_hints(row_type)
     names = [f.name for f in fields(row_type)]
-    return ",".join(names), attrgetter(*names)
+    kinds = [hints[name] for name in names]
+    template = ",".join(_CSV_CONVERSIONS[kind] for kind in kinds)
+    values = attrgetter(*names)
+    # both row types have several float fields, so this returns a tuple
+    pick_floats = itemgetter(*[i for i, kind in enumerate(kinds) if kind is float])
+    bools = [i for i, kind in enumerate(kinds) if kind is bool]
+
+    def format_row(row: object) -> str:
+        vals = values(row)
+        checked = pick_floats(vals)
+        if not all(map(math.isfinite, checked)):
+            bad = next(v for v in checked if not math.isfinite(v))
+            raise ValueError(f"refusing to write non-finite CSV value {bad}")
+        if bools:
+            vals = list(vals)
+            for i in bools:
+                vals[i] = "true" if vals[i] else "false"
+            vals = tuple(vals)
+        return template % vals
+
+    return ",".join(names), format_row
 
 
-SWEEP_HEADER, _SWEEP_VALUES = _csv_schema(SweepResult)
-AUDIT_HEADER, _AUDIT_VALUES = _csv_schema(AuditRow)
+SWEEP_HEADER, _format_sweep_row = _csv_schema(SweepResult)
+AUDIT_HEADER, _format_audit_row = _csv_schema(AuditRow)
 
 
 @dataclass(frozen=True, slots=True)
@@ -666,11 +696,12 @@ def run_sweep(
     """Run the alpha0 x seed grid; optionally write sweep.csv at out_path.
 
     parallelism is capped at the number of cells and of CPUs; at 1 (or an
-    empty grid) the cells run in this process. A td_* grid runs in lockstep
-    (see _evaluate_rows): as one batch in this process, or split into one
-    contiguous batch per worker. A sarsa_* grid runs cell by cell. Either
-    way every row equals run_cell's for its cell, and rows come out sorted
-    by (alpha0, seed index).
+    empty grid) the cells run in this process, and only a parallel sweep
+    imports the process pool. A td_* grid runs in lockstep (see
+    _evaluate_rows): as one batch in this process, or as one strided batch
+    per worker, worker i taking grid[i::workers]. A sarsa_* grid runs cell
+    by cell. Either way every row equals run_cell's for its cell, and rows
+    come out sorted by (alpha0, seed index).
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -680,15 +711,21 @@ def run_sweep(
         for idx in range(config.n_seeds)
     )
     workers = min(parallelism, len(grid), os.cpu_count() or 1)
-    # td_*: one lockstep batch per worker; sarsa_*: one cell per task
-    td = config.algorithm.startswith("td_")
-    size = math.ceil(len(grid) / workers) if td and grid else 1
-    batches = [(config, grid[i : i + size]) for i in range(0, len(grid), size)]
+    # td_*: one lockstep batch per worker; sarsa_*: one cell per task. The
+    # large-alpha0 rows diverge at the first check, so contiguous batches of
+    # the sorted grid would leave the worker holding them idle.
+    if config.algorithm.startswith("td_"):
+        batches = [(config, grid[i::workers]) for i in range(workers)]
+    else:
+        batches = [(config, [cell]) for cell in grid]
     if workers <= 1:
         results = [row for batch in batches for row in _batch_worker(batch)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [row for rows in pool.map(_batch_worker, batches) for row in rows]
+        results.sort(key=attrgetter("alpha0", "seed"))
     if out_path is not None:
         write_sweep_csv(results, out_path)
     return results
@@ -713,20 +750,13 @@ def stability_audit_run(
         count += 1
         if count % sample_every:
             return
-        report = audit_step(
-            TransitionGeometry(e=e_used, d=tr.phi_t - gamma * tr.phi_next, alpha=alpha)
-        )
+        r = audit_step(TransitionGeometry(e_used, tr.phi_t - gamma * tr.phi_next, alpha))
+        # positional, in AuditRow's field order
         rows.append(
             AuditRow(
-                step=count,
-                beta=report.beta,
-                lam_plus=report.lam_plus,
-                lam_minus=report.lam_minus,
-                lam_im_plus=report.lam_im_plus,
-                lam_im_minus=report.lam_im_minus,
-                sq_norm_standard=report.sq_norm_standard,
-                sq_norm_implicit=report.sq_norm_implicit,
-                ratio=report.sq_norm_implicit / report.sq_norm_standard,
+                count, r.beta, r.lam_plus, r.lam_minus, r.lam_im_plus, r.lam_im_minus,
+                r.sq_norm_standard, r.sq_norm_implicit,
+                r.sq_norm_implicit / r.sq_norm_standard,
             )
         )
 
@@ -784,35 +814,21 @@ def fixed_point_check(
 # CSV emission
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"refusing to write non-finite CSV value {value}")
-        return repr(value)
-    return str(value)
-
-
-def _format_row(values: Callable[[object], tuple], row: object) -> str:
-    return ",".join(_fmt(v) for v in values(row))
-
-
 def _write_csv(
-    header: str, values: Callable[[object], tuple], rows: list, path: str | Path
+    header: str, format_row: Callable[[object], str], rows: list, path: str | Path
 ) -> None:
     lines = [header]
-    lines.extend(_format_row(values, r) for r in rows)
+    lines.extend(map(format_row, rows))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def format_sweep_row(row: SweepResult) -> str:
-    return _format_row(_SWEEP_VALUES, row)
+    return _format_sweep_row(row)
 
 
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
-    _write_csv(SWEEP_HEADER, _SWEEP_VALUES, results, path)
+    _write_csv(SWEEP_HEADER, _format_sweep_row, results, path)
 
 
 def write_audit_csv(rows: list[AuditRow], path: str | Path) -> None:
-    _write_csv(AUDIT_HEADER, _AUDIT_VALUES, rows, path)
+    _write_csv(AUDIT_HEADER, _format_audit_row, rows, path)

@@ -23,7 +23,7 @@ step's built-in contraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,18 @@ from .core import check_same_length
 
 @dataclass(frozen=True, slots=True)
 class TransitionGeometry:
-    """The quantities one audit needs: trace e, TD direction d, step-size."""
+    """The quantities one audit needs: trace e, TD direction d, step-size.
+
+    The three inner products e.e, d.d and e.d are taken once, at
+    construction, and kept as e_norm_sq, d_norm_sq and e_dot_d.
+    """
 
     e: np.ndarray
     d: np.ndarray
     alpha: float
+    e_norm_sq: float = field(init=False)
+    d_norm_sq: float = field(init=False)
+    e_dot_d: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_same_length(self.e, self.d)
@@ -47,8 +54,18 @@ class TransitionGeometry:
             )
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (np.isfinite(self.e).all() and np.isfinite(self.d).all()):
+        e_norm_sq = float(self.e.dot(self.e))
+        d_norm_sq = float(self.d.dot(self.d))
+        # a finite sum of squares has only finite terms; an infinite or NaN
+        # one may also come from finite entries whose squares overflow, so
+        # only then are the entries tested one by one
+        if not (math.isfinite(e_norm_sq) and math.isfinite(d_norm_sq)) and not (
+            np.isfinite(self.e).all() and np.isfinite(self.d).all()
+        ):
             raise ValueError("geometry vectors must be finite")
+        object.__setattr__(self, "e_norm_sq", e_norm_sq)
+        object.__setattr__(self, "d_norm_sq", d_norm_sq)
+        object.__setattr__(self, "e_dot_d", float(self.e.dot(self.d)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,24 +100,18 @@ def _gram_eig_pair(
 def audit_step(g: TransitionGeometry) -> StabilityReport:
     """Evaluate both closed-form pairs plus the squared norms for one step.
 
-    Takes e.e, d.d and e.d once each and beta = 1 / (1 + alpha ||e||^2)
-    once; the implicit pair is the standard pair's closed form evaluated at
-    alpha * beta.
+    Reads e.e, d.d and e.d from the geometry and takes beta = 1 / (1 +
+    alpha ||e||^2) once; the implicit pair is the standard pair's closed
+    form evaluated at alpha * beta.
     """
-    e_norm_sq = float(g.e.dot(g.e))
-    d_norm_sq = float(g.d.dot(g.d))
-    e_dot_d = float(g.e.dot(g.d))
+    e_norm_sq, d_norm_sq, e_dot_d = g.e_norm_sq, g.d_norm_sq, g.e_dot_d
     beta = 1.0 / (1.0 + g.alpha * e_norm_sq)
     lam_plus, lam_minus = _gram_eig_pair(g.alpha, e_norm_sq, d_norm_sq, e_dot_d)
     lam_im_plus, lam_im_minus = _gram_eig_pair(
         g.alpha * beta, e_norm_sq, d_norm_sq, e_dot_d
     )
+    # positional, in field order: keywords cost a frozen dataclass more
     return StabilityReport(
-        beta=beta,
-        lam_plus=lam_plus,
-        lam_minus=lam_minus,
-        lam_im_plus=lam_im_plus,
-        lam_im_minus=lam_im_minus,
-        sq_norm_standard=max(lam_plus, 1.0),
-        sq_norm_implicit=max(lam_im_plus, 1.0),
+        beta, lam_plus, lam_minus, lam_im_plus, lam_im_minus,
+        max(lam_plus, 1.0), max(lam_im_plus, 1.0),
     )

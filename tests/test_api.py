@@ -1,6 +1,7 @@
 """The package surface: every public name is one the program itself runs,
-not a helper only tests call, the program does not import scipy, and the
-per-step functions take their dots without the matmul operator."""
+not a helper only tests call, the program imports neither scipy nor the
+process pool at start-up, and the per-step functions take their dots
+without the matmul operator."""
 
 import ast
 import inspect
@@ -62,6 +63,19 @@ def test_cli_import_loads_no_scipy():
     code = (
         "import sys, implicit_td.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a parallel sweep needs the pool; importing it would slow every start
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import sys, implicit_td.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,5 +1,7 @@
 """Config parsing, seed derivation, sweep determinism, CSV emission."""
 
+import concurrent.futures
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +15,7 @@ from implicit_td.harness import (
     AUDIT_HEADER,
     CHECK_EVERY,
     SWEEP_HEADER,
+    AuditRow,
     ConfigError,
     ExperimentConfig,
     cell_seed,
@@ -26,6 +29,7 @@ from implicit_td.harness import (
     run_sweep,
     run_td_evaluation,
     stability_audit_run,
+    write_audit_csv,
     write_sweep_csv,
 )
 from implicit_td.learners import DIVERGENCE_THRESHOLD, td_fixed_point_oracle
@@ -249,16 +253,45 @@ def test_format_row_uses_repr_floats_and_lowercase_bools():
     assert fields[2] == "0.25"
     assert fields[5] in ("true", "false")
     assert float(fields[4]) == row.final_avg_reward  # repr round-trips
+    # both bool values, an int alpha0 from the Python API, a status string
+    for diverged in (True, False):
+        odd = dataclasses.replace(
+            row, alpha0=1, final_avg_reward=0.1 + 0.2, diverged=diverged, status="error:X"
+        )
+        assert format_sweep_row(odd).split(",") == [
+            "cart_pole", "sarsa_implicit", "1", "1", "0.30000000000000004",
+            "true" if diverged else "false", repr(row.max_weight_norm),
+            str(row.steps_completed), "error:X",
+        ]
+
+
+def test_audit_row_formats_every_float_by_repr(tmp_path):
+    row = AuditRow(7, 0.5, 1e-300, -0.0, 1.0, 2.5e300, 1.0, 1.0 / 3.0, 1.0 / 3.0)
+    out = tmp_path / "audit.csv"
+    write_audit_csv([row], out)
+    assert out.read_bytes() == (
+        AUDIT_HEADER + "\n7,0.5,1e-300,-0.0,1.0,2.5e+300,1.0,"
+        "0.3333333333333333,0.3333333333333333\n"
+    ).encode()
 
 
 def test_csv_refuses_nonfinite(tmp_path):
-    cfg = tiny_config(total_steps=50, eval_window=25)
-    row = run_cell(cfg, 0.25, 0)
-    import dataclasses
-
-    bad = dataclasses.replace(row, final_avg_reward=float("nan"))
-    with pytest.raises(ValueError):
-        write_sweep_csv([bad], tmp_path / "bad.csv")
+    sweep_row = run_cell(tiny_config(total_steps=50, eval_window=25), 0.25, 0)
+    audit_row = AuditRow(1, 0.5, 1.0, 0.5, 1.0, 0.25, 1.0, 1.0, 1.0)
+    out = tmp_path / "bad.csv"
+    for write, row, field in [
+        (write_sweep_csv, sweep_row, "final_avg_reward"),
+        (write_sweep_csv, sweep_row, "alpha0"),
+        (write_audit_csv, audit_row, "beta"),
+        (write_audit_csv, audit_row, "ratio"),
+    ]:
+        for value in (math.nan, math.inf, -math.inf):
+            bad = dataclasses.replace(row, **{field: value})
+            with pytest.raises(
+                ValueError, match=f"refusing to write non-finite CSV value {value}"
+            ):
+                write([row, bad], out)
+            assert not out.exists()
 
 
 # --- TD evaluation driver
@@ -338,9 +371,11 @@ def test_td_eval_samples_at_most_one_block_past_an_early_exit(monkeypatch, impli
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the mapped
+    items, maps in-process."""
 
     created: list[int] = []
+    mapped: list = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -352,6 +387,8 @@ class _RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.mapped.extend(items)
         return map(fn, items)
 
 
@@ -369,7 +406,7 @@ class _RecordingPool:
 )
 def test_run_sweep_clamps_parallelism(monkeypatch, grid, n_seeds, parallelism, cpus, workers):
     monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = tiny_config(alpha0_grid=grid, n_seeds=n_seeds, total_steps=20, eval_window=10)
     rows = run_sweep(cfg, parallelism=parallelism)
@@ -447,6 +484,27 @@ def test_td_sweep_bytes_do_not_depend_on_parallelism(tmp_path, monkeypatch):
     for parallelism, path in zip((1, 2), paths):
         run_sweep(config, parallelism=parallelism, out_path=path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_td_sweep_strides_the_grid_over_the_workers(monkeypatch, workers):
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(_RecordingPool, "mapped", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: workers)
+    # contiguous chunks of the sorted grid would give some worker one alpha0 only
+    config = td_config(alpha0_grid=(0.125, 2.0, 8.0), n_seeds=workers, total_steps=1500)
+    rows = run_sweep(config, parallelism=workers)
+    assert _RecordingPool.created == [workers]
+    batches = [cells for _, cells in _RecordingPool.mapped]
+    assert len(batches) == workers
+    for cells in batches:
+        assert {alpha0 for alpha0, _ in cells} == set(config.alpha0_grid)
+    assert sorted(cell for cells in batches for cell in cells) == [
+        (row.alpha0, row.seed) for row in rows
+    ]
+    monkeypatch.undo()
+    assert rows == run_sweep(config)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])

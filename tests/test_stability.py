@@ -1,11 +1,17 @@
 """Closed-form gain eigenvalues against dense linear-algebra oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from implicit_td.stability import StabilityReport, TransitionGeometry, audit_step
+from implicit_td.stability import (
+    StabilityReport,
+    TransitionGeometry,
+    _gram_eig_pair,
+    audit_step,
+)
 from oracles import dense_gain_matrix, rank_two_eigenvalues, spectral_sq_norm
 
 
@@ -221,3 +227,56 @@ def test_geometry_validation():
         TransitionGeometry(e=np.array([np.inf, 0.0]), d=np.ones(2), alpha=1.0)
     with pytest.raises(ValueError):
         TransitionGeometry(e=np.ones(2), d=np.ones(3), alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "e,d",
+    [
+        ([1.0, np.inf, 0.0], [1.0, 1.0, 1.0]),
+        ([1.0, -np.inf, 0.0], [1.0, 1.0, 1.0]),
+        ([1.0, 1.0, 1.0], [0.0, np.nan, 1.0]),
+        ([1e200, np.inf, 0.0], [1.0, 1.0, 1.0]),  # a norm that overflows anyway
+        ([1.0, 1.0, 1.0], [1e200, 0.0, np.nan]),
+    ],
+)
+def test_geometry_rejects_nonfinite_entries(e, d):
+    with pytest.raises(ValueError, match="geometry vectors must be finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            TransitionGeometry(e=np.array(e), d=np.array(d), alpha=1.0)
+
+
+def test_geometry_accepts_finite_entries_whose_squares_overflow():
+    e = np.full(3, 1e200)
+    d = np.array([1e200, -1e200, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = float(e.dot(e)), float(d.dot(d)), float(e.dot(d))
+        report = audit_step(TransitionGeometry(e=e, d=d, alpha=0.5))
+        expected = audit_step_from_dots(0.5, *dots)
+    assert math.isinf(dots[0]) and math.isinf(dots[1])
+    # NaN-aware equality of every field
+    assert np.array_equal(
+        np.array(dataclasses.astuple(report)),
+        np.array(dataclasses.astuple(expected)),
+        equal_nan=True,
+    )
+
+
+def audit_step_from_dots(alpha, e_norm_sq, d_norm_sq, e_dot_d):
+    """The closed forms of audit_step on given inner products."""
+    beta = 1.0 / (1.0 + alpha * e_norm_sq)
+    lp, lm = _gram_eig_pair(alpha, e_norm_sq, d_norm_sq, e_dot_d)
+    lip, lim = _gram_eig_pair(alpha * beta, e_norm_sq, d_norm_sq, e_dot_d)
+    return StabilityReport(beta, lp, lm, lip, lim, max(lp, 1.0), max(lip, 1.0))
+
+
+@pytest.mark.parametrize("k", [2, 64, 512])
+def test_geometry_keeps_its_inner_products_bit_for_bit(k):
+    rng = np.random.default_rng(31 + k)
+    for scale in (1e-3, 1.0, 1e3):
+        e, d = scale * rng.normal(size=k), rng.normal(size=k)
+        g = TransitionGeometry(e=e, d=d, alpha=0.3)
+        got = (g.e_norm_sq, g.d_norm_sq, g.e_dot_d)
+        want = (float(e.dot(e)), float(d.dot(d)), float(e.dot(d)))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert all(type(x) is float for x in got)
+        assert audit_step(g) == audit_step_from_dots(0.3, *want)
