@@ -3,7 +3,7 @@
 The finite MRP type carries everything the fixed-point oracle needs (P, r,
 features, initial distribution) and validates stochasticity and strong
 connectivity on construction. Periodic chains are accepted on purpose: every
-quantity computed downstream (stationary distribution, discounted series,
+quantity computed downstream (stationary distribution, TD fixed point,
 long-run sample averages) only needs irreducibility, and the deterministic
 two-state cycle used as a hand-checkable test bed has period 2.
 

@@ -155,7 +155,6 @@ class ExperimentConfig:
         return DiscountSpec(gamma=self.gamma, lam=self.lam)
 
 
-# config-file key -> (field name, parser)
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -163,20 +162,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad alpha0_grid entry: {err}") from None
 
 
+# config-file key -> (field name, parser), one per ExperimentConfig field in
+# field order; the field lam is written `lambda` in config files
+_FIELD_PARSERS: dict[object, Callable[[str], object]] = {
+    str: str, int: int, float: float, tuple[float, ...]: _parse_grid,
+}
 _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "domain": ("domain", str),
-    "algorithm": ("algorithm", str),
-    "alpha0_grid": ("alpha0_grid", _parse_grid),
-    "lambda": ("lam", float),
-    "gamma": ("gamma", float),
-    "fourier_order": ("fourier_order", int),
-    "total_steps": ("total_steps", int),
-    "n_seeds": ("n_seeds", int),
-    "eval_window": ("eval_window", int),
-    "base_seed": ("base_seed", int),
-    "epsilon": ("epsilon", float),
-    "mrp_states": ("mrp_states", int),
-    "mrp_reward_scale": ("mrp_reward_scale", float),
+    ("lambda" if name == "lam" else name): (name, _FIELD_PARSERS[kind])
+    for name, kind in get_type_hints(ExperimentConfig).items()
 }
 
 
@@ -285,7 +278,7 @@ def _csv_schema(row_type: type) -> tuple[str, Callable[[object], str]]:
     return ",".join(names), format_row
 
 
-SWEEP_HEADER, _format_sweep_row = _csv_schema(SweepResult)
+SWEEP_HEADER, format_sweep_row = _csv_schema(SweepResult)
 AUDIT_HEADER, _format_audit_row = _csv_schema(AuditRow)
 
 
@@ -777,7 +770,7 @@ def fixed_point_check(
     steps: int,
     target_tol: float | None = None,
 ) -> FixedPointReport:
-    """Run both learners on a seeded random chain against the series oracle.
+    """Run both learners on a seeded random chain against the closed-form w*.
 
     Both learners see the same state path, drawn from one seed block-ahead
     by run_td_evaluation. With target_tol set, each run stops at the first
@@ -822,12 +815,8 @@ def _write_csv(
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def format_sweep_row(row: SweepResult) -> str:
-    return _format_sweep_row(row)
-
-
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
-    _write_csv(SWEEP_HEADER, _format_sweep_row, results, path)
+    _write_csv(SWEEP_HEADER, format_sweep_row, results, path)
 
 
 def write_audit_csv(rows: list[AuditRow], path: str | Path) -> None:

@@ -166,32 +166,20 @@ def td_step_implicit(state: TdLearnerState, tr: Transition, alpha: float) -> flo
     return _commit(state, tr.terminal, e, w_new)
 
 
-SERIES_TOL = 1e-14
-SERIES_TERM_CAP = 10**6
-
-
 def td_fixed_point_oracle(mrp: FiniteMrp, disc: DiscountSpec) -> np.ndarray:
-    """w* of linear TD(lambda) on a finite MRP, by a cut-off matrix series.
+    """w* of linear TD(lambda) on a finite MRP, in closed form: A w* = b with
 
-    Solves A w* = b with
+        A = Phi^T D (I - gamma*lambda*P)^-1 (I - gamma*P) Phi,
+        b = Phi^T D (I - gamma*lambda*P)^-1 r,  D = diag(stationary dist.).
 
-        A = Phi^T D S (I - gamma P) Phi,   b = Phi^T D S r,
-        S = sum_{m>=0} (gamma*lambda*P)^m,  D = diag(stationary distribution).
-
-    The series stops when the next term's max-abs falls below
-    SERIES_TOL; gamma*lambda < 1 makes the decay geometric.
+    gamma*lambda < 1 keeps I - gamma*lambda*P nonsingular; one solve takes
+    both right-hand sides, stacked. At lambda = 1, w* is the D-weighted
+    projection of the true values (Tsitsiklis & Van Roy, IEEE TAC 1997).
     """
     xi = stationary_distribution(mrp)
-    n = mrp.n_states
-    series = np.eye(n)
-    term = np.eye(n)
-    decay = disc.trace_decay
-    for _ in range(SERIES_TERM_CAP):
-        term = decay * (mrp.p @ term)
-        if float(np.abs(term).max()) < SERIES_TOL:
-            break
-        series += term
-    weighted = xi[:, None] * series  # D @ S without forming D
-    a = mrp.features.T @ weighted @ (np.eye(n) - disc.gamma * mrp.p) @ mrp.features
-    b = mrp.features.T @ weighted @ mrp.r
-    return np.linalg.solve(a, b)
+    phi = mrp.features
+    eye = np.eye(mrp.n_states)
+    rhs = np.column_stack(((eye - disc.gamma * mrp.p) @ phi, mrp.r))
+    resolved = np.linalg.solve(eye - disc.trace_decay * mrp.p, rhs)
+    ab = phi.T @ (xi[:, None] * resolved)  # D without forming it: [A | b]
+    return np.linalg.solve(ab[:, :-1], ab[:, -1])

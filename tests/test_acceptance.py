@@ -155,8 +155,9 @@ def test_criterion_4_fixed_point_agreement():
         errs.append(float(np.max(np.abs(res.weights - w_star))))
         assert res.steps_completed <= 10**6
 
-    # three seeded 5-state chains; the series oracle behind fixed_point_check
-    # is itself cross-validated by simulation in the unit suite
+    # three seeded 5-state chains; the closed-form oracle behind
+    # fixed_point_check is itself cross-validated by simulation in the unit
+    # suite
     for seed in (0, 1, 2):
         report = fixed_point_check(
             5, seed, DiscountSpec(gamma=0.8, lam=0.5), 10**6, target_tol=0.02

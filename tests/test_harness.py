@@ -95,15 +95,35 @@ def test_parse_config_roundtrip():
         alpha0_grid = 0.5, 1.0, 2.0
         lambda = 0.9
         gamma = 0.95
+        fourier_order = 2
         total_steps = 1000
-        eval_window = 100
         n_seeds = 3
+        eval_window = 100
+        base_seed = 7
+        epsilon = 0.05
+        mrp_states = 6
+        mrp_reward_scale = 2.5
         """
     )
-    assert cfg.domain == "cart_pole"
-    assert cfg.alpha0_grid == (0.5, 1.0, 2.0)
-    assert cfg.lam == 0.9
-    assert cfg.n_seeds == 3
+    assert cfg == ExperimentConfig(
+        domain="cart_pole",
+        algorithm="sarsa_implicit",
+        alpha0_grid=(0.5, 1.0, 2.0),
+        lam=0.9,
+        gamma=0.95,
+        fourier_order=2,
+        total_steps=1000,
+        n_seeds=3,
+        eval_window=100,
+        base_seed=7,
+        epsilon=0.05,
+        mrp_states=6,
+        mrp_reward_scale=2.5,
+    )
+    # every key with a default is set away from it, so each one is parsed
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(cfg, field.name) != field.default, field.name
 
 
 def test_parse_config_rejects_garbage():

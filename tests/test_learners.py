@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from implicit_td.core import DiscountSpec, Transition, update_trace
-from implicit_td.envs import FiniteMrp, random_chain_mrp
+from implicit_td.envs import FiniteMrp, random_chain_mrp, stationary_distribution
 from implicit_td.learners import (
     DIVERGENCE_THRESHOLD,
     TdLearnerState,
@@ -290,12 +290,29 @@ def test_fixed_point_zero_reward():
     assert w == pytest.approx(np.zeros(4), abs=1e-12)
 
 
+def with_two_features(mrp, seed):
+    """The chain's P, r and xi0 under two seeded features per state. Unlike
+    tabular features, two features cannot represent every value function,
+    so w* depends on lambda."""
+    features = np.random.default_rng(seed).uniform(-1.0, 1.0, (mrp.n_states, 2))
+    return FiniteMrp(
+        n_states=mrp.n_states, p=mrp.p, r=mrp.r, xi0=mrp.xi0, features=features
+    )
+
+
 def test_fixed_point_lambda_one_is_true_values():
-    mrp = random_chain_mrp(5, seed=11)
-    disc = DiscountSpec(gamma=0.9, lam=1.0)
-    w = td_fixed_point_oracle(mrp, disc)
-    true_values = np.linalg.solve(np.eye(5) - 0.9 * mrp.p, mrp.r)
-    assert w == pytest.approx(true_values, abs=1e-9)
+    # at lambda = 1, w* is the D-weighted projection of the true values
+    # (Tsitsiklis & Van Roy 1997); with tabular features, the values themselves
+    tabular = random_chain_mrp(5, seed=11)
+    two_feature = with_two_features(tabular, seed=0)
+    for mrp, gamma in ((tabular, 0.9), (two_feature, 0.9), (two_feature, 0.999999)):
+        w = td_fixed_point_oracle(mrp, DiscountSpec(gamma=gamma, lam=1.0))
+        true_values = np.linalg.solve(np.eye(5) - gamma * mrp.p, mrp.r)
+        weighted = stationary_distribution(mrp)[:, None] * mrp.features
+        projected = np.linalg.solve(
+            weighted.T @ mrp.features, weighted.T @ true_values
+        )
+        assert np.max(np.abs(w - projected)) <= 1e-9 * np.max(np.abs(projected))
 
 
 def test_fixed_point_matches_sample_averages():
@@ -303,21 +320,28 @@ def test_fixed_point_matches_sample_averages():
     # b = E[e r] by simulation and solve
     from implicit_td.envs import sample_state_path
 
-    mrp = random_chain_mrp(4, seed=21)
+    tabular = random_chain_mrp(4, seed=21)
+    # the feature seed makes lambda move w* far past the 0.05 tolerance, so
+    # the simulation also checks how w* depends on lambda
+    two_feature = with_two_features(tabular, seed=172)
     disc = DiscountSpec(gamma=0.7, lam=0.4)
-    w_series = td_fixed_point_oracle(mrp, disc)
+    lambda_zero = td_fixed_point_oracle(two_feature, DiscountSpec(gamma=0.7, lam=0.0))
+    assert np.max(np.abs(td_fixed_point_oracle(two_feature, disc) - lambda_zero)) > 0.5
 
-    rng = np.random.default_rng(5)
-    n = 400_000
-    path = sample_state_path(mrp, n + 1, rng)
-    feats = mrp.features
-    e = np.zeros(4)
-    a_hat = np.zeros((4, 4))
-    b_hat = np.zeros(4)
-    for t in range(n):
-        phi = feats[path[t]]
-        e = disc.trace_decay * e + phi
-        a_hat += np.outer(e, phi - disc.gamma * feats[path[t + 1]])
-        b_hat += e * mrp.r[path[t]]
-    w_sim = np.linalg.solve(a_hat / n, b_hat / n)
-    assert np.max(np.abs(w_sim - w_series)) < 0.05
+    for mrp in (tabular, two_feature):
+        w_star = td_fixed_point_oracle(mrp, disc)
+        rng = np.random.default_rng(5)
+        n = 400_000
+        path = sample_state_path(mrp, n + 1, rng)
+        feats = mrp.features
+        k = feats.shape[1]
+        e = np.zeros(k)
+        a_hat = np.zeros((k, k))
+        b_hat = np.zeros(k)
+        for t in range(n):
+            phi = feats[path[t]]
+            e = disc.trace_decay * e + phi
+            a_hat += np.outer(e, phi - disc.gamma * feats[path[t + 1]])
+            b_hat += e * mrp.r[path[t]]
+        w_sim = np.linalg.solve(a_hat / n, b_hat / n)
+        assert np.max(np.abs(w_sim - w_star)) < 0.05
