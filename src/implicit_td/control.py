@@ -96,9 +96,11 @@ def sarsa_episode(
 
     `seed` drives both the environment reset and an independent policy
     stream. `max_steps` cuts the episode at a step budget without terminal
-    bookkeeping (the trace survives for the caller to inspect). Divergence
-    aborts the episode with the flag set.
+    bookkeeping (the trace survives for the caller to inspect); it must be
+    at least 1. Divergence aborts the episode with the flag set.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     learner = agent.learner
     if learner.diverged:
         return EpisodeStats(0.0, 0, True, False, float(np.max(np.abs(learner.weights))))

@@ -50,12 +50,14 @@ def update_trace(
     return disc.trace_decay * e_prev + phi
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Transition:
     """One observed step: features at t, reward, features at t+1, terminal flag.
 
     For terminal transitions the feature vector of the successor state is the
     zero vector by convention, so downstream consumers never bootstrap off it.
+    One is built per step, so the class is not frozen; __post_init__ checks
+    only the values it is built with.
     """
 
     phi_t: np.ndarray

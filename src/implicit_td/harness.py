@@ -229,7 +229,7 @@ class SweepResult:
     status: str = "ok"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AuditRow:
     step: int
     beta: float
@@ -744,7 +744,6 @@ def stability_audit_run(
         if count % sample_every:
             return
         r = audit_step(TransitionGeometry(e_used, tr.phi_t - gamma * tr.phi_next, alpha))
-        # positional, in AuditRow's field order
         rows.append(
             AuditRow(
                 count, r.beta, r.lam_plus, r.lam_minus, r.lam_im_plus, r.lam_im_minus,

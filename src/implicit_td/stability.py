@@ -35,7 +35,8 @@ class TransitionGeometry:
     """The quantities one audit needs: trace e, TD direction d, step-size.
 
     The three inner products e.e, d.d and e.d are taken once, at
-    construction, and kept as e_norm_sq, d_norm_sq and e_dot_d.
+    construction, and kept as e_norm_sq, d_norm_sq and e_dot_d. The class
+    is frozen so that e and d cannot be rebound and leave them stale.
     """
 
     e: np.ndarray
@@ -68,7 +69,7 @@ class TransitionGeometry:
         object.__setattr__(self, "e_dot_d", float(self.e.dot(self.d)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StabilityReport:
     """Eigenvalue pairs and squared spectral norms for one transition."""
 
@@ -110,7 +111,6 @@ def audit_step(g: TransitionGeometry) -> StabilityReport:
     lam_im_plus, lam_im_minus = _gram_eig_pair(
         g.alpha * beta, e_norm_sq, d_norm_sq, e_dot_d
     )
-    # positional, in field order: keywords cost a frozen dataclass more
     return StabilityReport(
         beta, lam_plus, lam_minus, lam_im_plus, lam_im_minus,
         max(lam_plus, 1.0), max(lam_im_plus, 1.0),

@@ -118,6 +118,16 @@ def test_max_steps_budget_cuts_episode():
     assert not stats.terminated
 
 
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_max_steps_below_one_is_rejected(max_steps):
+    agent = make_agent(4, 2)
+    before = agent.learner.weights.copy()
+    with pytest.raises(ValueError, match="max_steps"):
+        sarsa_episode(agent, CartPole(), seed=0, max_steps=max_steps)
+    assert np.array_equal(agent.learner.weights, before)
+    assert agent.learner.step_count == 0
+
+
 @pytest.mark.parametrize("kind", ["constant", "alpha_bound"])
 def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
     # the hook's e is update_trace(trace before the step, phi_t), bit for bit,

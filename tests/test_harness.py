@@ -582,6 +582,39 @@ def test_audit_rows_schema_and_ratio(tmp_path):
     assert len(lines) == len(rows) + 1
 
 
+@pytest.mark.parametrize("domain", ["cart_pole", "puddle_world"])
+@pytest.mark.parametrize(
+    "algorithm,alpha0,diverges",
+    [("sarsa_implicit", 0.5, False), ("sarsa_alpha_bound", 0.5, False),
+     ("sarsa_standard", 2.0, True)],
+)
+def test_sarsa_hook_only_observes(domain, algorithm, alpha0, diverges):
+    cfg = ExperimentConfig(
+        domain=domain, algorithm=algorithm, alpha0_grid=(alpha0,), total_steps=600,
+        n_seeds=1, eval_window=200,
+    )
+    plain = run_cell(cfg, alpha0, 0)
+    assert plain.diverged == diverges
+    audited, rows = stability_audit_run(cfg, alpha0, 0, sample_every=1)
+    assert audited == plain
+    assert len(rows) == plain.steps_completed
+
+    # SARSA reads no Transition after its hook, so rebinding every field
+    # of each one it hands over moves nothing
+    calls = 0
+
+    def scribble(tr, alpha, e):
+        nonlocal calls
+        calls += 1
+        tr.phi_t = np.full_like(tr.phi_t, np.nan)
+        tr.reward = math.nan
+        tr.phi_next = np.full_like(tr.phi_next, np.inf)
+        tr.terminal = not tr.terminal
+
+    assert run_cell(cfg, alpha0, 0, on_step=scribble) == plain
+    assert calls == plain.steps_completed
+
+
 def test_audit_finds_expanding_standard_steps_on_puddle():
     cfg = ExperimentConfig(
         domain="puddle_world",
