@@ -336,6 +336,12 @@ def run_td_evaluation(
     its last check. The states equal those of one presampled path of
     total_steps + 1.
 
+    mean_reward_last_window is the mean reward of the last eval_window
+    steps completed (of all of them when eval_window is None; 0.0 after
+    none). The run keeps only the blocks that window can still read, so it
+    holds at most eval_window + CHECK_EVERY + 1 states whatever total_steps
+    is. eval_window below 1 and total_steps below 0 raise ValueError.
+
     Every step takes its alpha from next_alpha, or straight from a constant
     schedule's alpha0, and applies the learner's kernel (implicit_step or
     standard_step) to plain arrays. When on_step is set it is called after
@@ -358,8 +364,9 @@ def run_td_evaluation(
 
 @dataclass(slots=True)
 class _PathRow:
-    """One row of a lockstep TD evaluation: its path generator, the blocks of
-    states it has drawn, what its checks have seen, and its result."""
+    """One row of a lockstep TD evaluation: its path generator, the trailing
+    blocks of states its reward window can still read, what its checks have
+    seen, and its result."""
 
     rng: np.random.Generator
     visited: list[np.ndarray]
@@ -391,7 +398,18 @@ def _evaluate_rows(
     the rows' next features once and reuses them as the following step's
     current features. At a check, a row that trips leaves the stack and
     draws no further block.
+
+    Before drawing a block, each row drops the blocks that no result at the
+    block's end or later can read: that result's window starts at or after
+    the block's end minus the window. A row's memory is thus bounded by its
+    window, not by the steps it runs, and the window mean takes the same
+    rewards in the same order as one mean over the whole path would.
     """
+    if eval_window is not None and eval_window < 1:
+        raise ValueError(f"eval_window must be >= 1 or None, got {eval_window}")
+    if total_steps < 0:
+        raise ValueError(f"total_steps must be >= 0, got {total_steps}")
+    window = total_steps if eval_window is None else eval_window
     single = len(seeds) == 1
     if not single and any(s.kind != "constant" for s in schedules):
         raise ValueError("rows in lockstep need constant step-size schedules")
@@ -427,10 +445,13 @@ def _evaluate_rows(
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
             n = min(CHECK_EVERY, total_steps - steps_done)
+            # the fewest trailing blocks (all full but the one-state start)
+            # that hold the last window + 1 - n states drawn so far
+            held = max(0, math.ceil((window + 1 - n) / CHECK_EVERY))
             for row in live:
-                row.visited.append(
-                    sample_state_path(mrp, n, row.rng, start=int(row.visited[-1][-1]))
-                )
+                start = int(row.visited[-1][-1])
+                del row.visited[: max(0, len(row.visited) - held)]
+                row.visited.append(sample_state_path(mrp, n, row.rng, start=start))
             blocks = [row.visited[-1] for row in live]
             path = blocks[0].tolist() if single else np.stack(blocks, axis=1)
             for t, s_next in enumerate(path, steps_done):
@@ -462,7 +483,7 @@ def _evaluate_rows(
                         and float(np.max(np.abs(weights - target_weights))) <= target_tol
                     )
                 ):
-                    row.result = _row_result(mrp, row, weights, steps_done, eval_window)
+                    row.result = _row_result(mrp, row, weights, steps_done, window)
                 else:
                     keep.append(i)
             if len(keep) < len(live):
@@ -473,27 +494,18 @@ def _evaluate_rows(
 
 
 def _row_result(
-    mrp: FiniteMrp, row: _PathRow, weights: np.ndarray, steps_done: int,
-    eval_window: int | None,
+    mrp: FiniteMrp, row: _PathRow, weights: np.ndarray, steps_done: int, window: int
 ) -> TdEvalResult:
-    # the reward of every state but the last, whose successor was never drawn
-    state_rewards = mrp.r[np.concatenate(row.visited)[:-1]]
+    # the rewards of the n states before the last, whose successor was never drawn
+    n = min(window, steps_done)
+    rewards = mrp.r[np.concatenate(row.visited)[-1 - n : -1]]
     return TdEvalResult(
         weights=weights,
         steps_completed=steps_done,
         diverged=row.diverged,
         max_weight_abs=row.max_abs,
-        mean_reward_last_window=_window_mean(state_rewards, steps_done, eval_window),
+        mean_reward_last_window=float(rewards.mean()) if n else 0.0,
     )
-
-
-def _window_mean(rewards: np.ndarray, steps_done: int, window: int | None) -> float:
-    if steps_done == 0:
-        return 0.0
-    if window is None:
-        window = steps_done
-    lo = max(0, steps_done - window)
-    return float(rewards[lo:steps_done].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +786,8 @@ def fixed_point_check(
     Both learners see the same state path, drawn from one seed block-ahead
     by run_td_evaluation. With target_tol set, each run stops at the first
     1000-step check where the max-abs error is within it, having sampled no
-    state past that check.
+    state past that check. The report reads no reward mean, so the runs use
+    eval_window=1 and each holds at most two blocks of states at a time.
     """
     mrp = random_chain_mrp(n_states, mix64(seed))
     w_star = td_fixed_point_oracle(mrp, disc)
@@ -788,6 +801,7 @@ def fixed_point_check(
             steps,
             path_seed,
             implicit=implicit,
+            eval_window=1,
             target_weights=w_star,
             target_tol=target_tol,
         )

@@ -5,7 +5,9 @@ line per criterion. Runtime budgets are asserted alongside the numeric
 tolerances because they are part of the contract.
 """
 
+import dataclasses
 import inspect
+import os
 import time
 import timeit
 import tracemalloc
@@ -173,30 +175,36 @@ def test_criterion_4_fixed_point_agreement():
 def test_criterion_5_stability_separation():
     started = time.perf_counter()
     failures = []
-    divergent_grid = [a for a in ExperimentConfig(
-        domain="cart_pole", algorithm="sarsa_standard").alpha0_grid if a >= 1.0]
+    divergent_grid = tuple(a for a in ExperimentConfig(
+        domain="cart_pole", algorithm="sarsa_standard").alpha0_grid if a >= 1.0)
+
+    def sweep(config):
+        # the sweep driver gives each cell run_cell's row, on every CPU
+        rows = run_sweep(config, parallelism=os.cpu_count() or 1)
+        # an error row records diverged=False: it must not pass as stable
+        failures.extend(
+            f"{config.domain}/{config.algorithm} alpha0={r.alpha0} seed {r.seed}: {r.status}"
+            for r in rows if r.status != "ok"
+        )
+        return rows
 
     for domain in ("puddle_world", "cart_pole"):
         for algorithm in ("sarsa_standard", "sarsa_alpha_bound"):
             config = ExperimentConfig(domain=domain, algorithm=algorithm)
+            rows = sweep(dataclasses.replace(config, alpha0_grid=divergent_grid))
             for alpha0 in divergent_grid:
-                n_diverged = sum(
-                    run_cell(config, alpha0, idx).diverged
-                    for idx in range(config.n_seeds)
-                )
+                n_diverged = sum(r.diverged for r in rows if r.alpha0 == alpha0)
                 if 2 * n_diverged <= config.n_seeds:
                     failures.append(
                         f"{domain}/{algorithm} alpha0={alpha0}: "
                         f"only {n_diverged}/{config.n_seeds} diverged"
                     )
         for algorithm in ("sarsa_implicit", "sarsa_implicit_alpha_bound"):
-            config = ExperimentConfig(domain=domain, algorithm=algorithm)
-            for alpha0 in config.alpha0_grid:
-                for idx in range(config.n_seeds):
-                    if run_cell(config, alpha0, idx).diverged:
-                        failures.append(
-                            f"{domain}/{algorithm} alpha0={alpha0} seed {idx} diverged"
-                        )
+            for r in sweep(ExperimentConfig(domain=domain, algorithm=algorithm)):
+                if r.diverged:
+                    failures.append(
+                        f"{domain}/{algorithm} alpha0={r.alpha0} seed {r.seed} diverged"
+                    )
     elapsed = time.perf_counter() - started
     print(f"criterion 5: {len(failures)} violations, {elapsed:.0f}s")
     for line in failures:

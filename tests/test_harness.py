@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -390,6 +391,100 @@ def test_td_eval_samples_at_most_one_block_past_an_early_exit(monkeypatch, impli
     assert max(sampled) <= CHECK_EVERY
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        (dict(eval_window=0), "eval_window"),
+        (dict(eval_window=-5), "eval_window"),
+        (dict(total_steps=-1), "total_steps"),
+    ],
+)
+def test_td_eval_rejects_a_bad_window_or_budget(kwargs, name):
+    mrp = random_chain_mrp(5, seed=9)
+    args = dict(
+        mrp=mrp, disc=DiscountSpec(gamma=0.9, lam=0.5),
+        schedule=make_schedule("constant", 0.1), total_steps=100, seed=0, implicit=False,
+    )
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        run_td_evaluation(**{**args, **kwargs})
+    # no window and no steps stay legal
+    res = run_td_evaluation(**{**args, "total_steps": 0, "eval_window": None})
+    assert (res.steps_completed, res.mean_reward_last_window) == (0, 0.0)
+
+
+def window_mean_up_front(mrp, seed, total_steps, steps_done, window):
+    """The window mean from the whole path drawn at once, outside the driver."""
+    rng = np.random.default_rng(seed)
+    start = sample_state_path(mrp, 1, rng)
+    path = np.concatenate([start, sample_state_path(mrp, total_steps, rng, start=int(start[0]))])
+    lo = 0 if window is None else max(0, steps_done - window)
+    return float(mrp.r[path[:-1]][lo:steps_done].mean())
+
+
+ORACLE_STEPS = 4321
+# (schedule kind, alpha0, implicit, target_tol, steps completed): standard TD
+# at alpha0 8 diverges before the first check; the implicit run reaches
+# tolerance 0.3 at the second check
+WINDOW_CASES = {
+    "converging": ("constant", 0.05, False, None, ORACLE_STEPS),
+    "diverging": ("constant", 8.0, False, None, 1000),
+    "at_target": ("polynomial", 0.5, True, 0.3, 2000),
+}
+
+
+@pytest.mark.parametrize(
+    "window", [1, 999, 1000, 1001, ORACLE_STEPS, ORACLE_STEPS + 7, None]
+)
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_td_eval_window_mean_equals_a_path_drawn_up_front(case, window):
+    kind, alpha0, implicit, target_tol, steps = WINDOW_CASES[case]
+    mrp = random_chain_mrp(5, seed=1)
+    disc = DiscountSpec(gamma=0.9, lam=0.5)
+    res = run_td_evaluation(
+        mrp, disc, make_schedule(kind, alpha0), ORACLE_STEPS, seed=3,
+        implicit=implicit, eval_window=window,
+        target_weights=td_fixed_point_oracle(mrp, disc) if target_tol else None,
+        target_tol=target_tol,
+    )
+    assert res.steps_completed == steps
+    assert res.diverged == (case == "diverging")
+    assert res.mean_reward_last_window == window_mean_up_front(
+        mrp, 3, ORACLE_STEPS, steps, window
+    )
+
+
+def one_row_window_100(steps):
+    run_td_evaluation(
+        random_chain_mrp(5, seed=9), DiscountSpec(gamma=0.9, lam=0.5),
+        make_schedule("constant", 0.05), steps, seed=3, implicit=False, eval_window=100,
+    )
+
+
+def fixed_point_run(steps):
+    fixed_point_check(5, 0, DiscountSpec(gamma=0.8, lam=0.5), steps)
+
+
+@pytest.mark.parametrize(
+    "run,steps",
+    [(one_row_window_100, 30_000), (fixed_point_run, 25_000)],
+    ids=["one_row", "fixed_point_check"],
+)
+def test_td_eval_memory_is_bounded_by_the_window(run, steps):
+    # a run holding its whole path peaks near 24 bytes per step (the states,
+    # their concatenation and their rewards): ~720 KiB for the one row's 30k
+    # steps, ~600 KiB for the two 25k-step runs of the fixed-point check. A
+    # row holds at most eval_window + CHECK_EVERY + 1 states, which with
+    # its learner's arrays and the block being stepped stays near 64 KiB.
+    run(10)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the mapped
     items, maps in-process."""
@@ -483,10 +578,13 @@ def test_td_sweep_rows_equal_their_cells(monkeypatch, name):
     stacked = dict(sampled)
     cells = [run_cell(config, row.alpha0, row.seed) for row in rows]
     assert rows == cells
+    mrp = harness._shared_mrp(config)
     for row in rows:
+        seed = cell_seed(config.base_seed, row.alpha0, row.seed)
         # the start state and one state per step: nothing past the last check
-        assert stacked[cell_seed(config.base_seed, row.alpha0, row.seed)] == (
-            row.steps_completed + 1
+        assert stacked[seed] == row.steps_completed + 1
+        assert row.final_avg_reward == window_mean_up_front(
+            mrp, seed, config.total_steps, row.steps_completed, config.eval_window
         )
     if config.algorithm == "td_standard":
         # rows left the stack at different checks
