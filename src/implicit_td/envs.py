@@ -105,10 +105,6 @@ class FiniteMrp:
         if not _strongly_connected(self.p > 0.0):
             raise ValueError("transition graph must be strongly connected")
 
-    @property
-    def k(self) -> int:
-        return self.features.shape[1]
-
 
 def _strongly_connected(edges: np.ndarray) -> bool:
     """Whether state 0 reaches every state along `edges` and along `edges.T`."""

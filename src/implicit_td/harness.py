@@ -26,7 +26,8 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .control import SarsaAgent, StepHook, sarsa_episode
-from .core import DiscountSpec, Transition, update_trace
+from .core import DiscountSpec, Transition
+from .core import update_trace  # not called here; kept for bench/layers.py, which rebinds it
 from .envs import (
     CartPole,
     FiniteMrp,
@@ -128,6 +129,8 @@ class ExperimentConfig:
         # an empty grid is legal and yields a header-only sweep
         if any(not 0.0 < a < math.inf for a in self.alpha0_grid):
             raise ConfigError("alpha0_grid values must be positive and finite")
+        if len(set(self.alpha0_grid)) < len(self.alpha0_grid):
+            raise ConfigError("alpha0_grid values must be distinct")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.total_steps < 1:
@@ -198,10 +201,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     missing = {"domain", "algorithm"} - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
-    try:
-        return ExperimentConfig(**values)  # type: ignore[arg-type]
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
+    return ExperimentConfig(**values)  # type: ignore[arg-type]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -342,11 +342,13 @@ def run_td_evaluation(
     holds at most eval_window + CHECK_EVERY + 1 states whatever total_steps
     is. eval_window below 1 and total_steps below 0 raise ValueError.
 
-    Every step takes its alpha from next_alpha, or straight from a constant
-    schedule's alpha0, and applies the learner's kernel (implicit_step or
-    standard_step) to plain arrays. When on_step is set it is called after
-    each step with (Transition, alpha, trace used); the Transition is built
-    only for the hook, which observes and never changes the result.
+    The schedule is constant or polynomial: alpha_bound belongs to SARSA
+    and raises ValueError here. Every step takes a constant schedule's
+    alpha0, or its alpha from next_alpha, and applies the learner's kernel
+    (implicit_step or standard_step) to plain arrays. When on_step is set
+    it is called after each step with (Transition, alpha, trace used); the
+    Transition is built only for the hook, which observes and never changes
+    the result.
 
     Divergence (non-finite weights, or max-abs weight above
     DIVERGENCE_THRESHOLD) and the optional early-exit target are checked
@@ -393,11 +395,13 @@ def _evaluate_rows(
     from schedules[i], exactly as run_td_evaluation documents for one row.
     One row steps 1-D weights with Python-float rewards and alphas. B > 1
     rows step a (B, k) stack with (B, 1) reward and alpha columns through
-    the same kernel, which gives every row the bits of its own one-row run;
-    the stack needs constant schedules, and takes no hook. Each step gathers
-    the rows' next features once and reuses them as the following step's
-    current features. At a check, a row that trips leaves the stack and
-    draws no further block.
+    the same kernel, which gives every row the bits of its own one-row run.
+    The schedules are constant, or there is one polynomial row; anything
+    else (alpha_bound, which belongs to SARSA, or a polynomial stack)
+    raises ValueError. A stack takes no hook. Each step gathers the rows'
+    next features once and reuses them as the following step's current
+    features. At a check, a row that trips leaves the stack and draws no
+    further block.
 
     Before drawing a block, each row drops the blocks that no result at the
     block's end or later can read: that result's window starts at or after
@@ -411,14 +415,13 @@ def _evaluate_rows(
         raise ValueError(f"total_steps must be >= 0, got {total_steps}")
     window = total_steps if eval_window is None else eval_window
     single = len(seeds) == 1
-    if not single and any(s.kind != "constant" for s in schedules):
-        raise ValueError("rows in lockstep need constant step-size schedules")
+    schedule = schedules[0]
+    polynomial = single and schedule.kind == "polynomial"
+    if not polynomial and any(s.kind != "constant" for s in schedules):
+        raise ValueError("TD evaluation needs constant schedules, or one polynomial row")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows = [_PathRow(rng, [sample_state_path(mrp, 1, rng)]) for rng in rngs]
     starts = [int(row.visited[0][0]) for row in rows]
-    schedule = schedules[0]
-    varying = schedule.kind != "constant"
-    alpha_bound = schedule.kind == "alpha_bound"
     if single:
         alpha = schedule.alpha0
         s = starts[0]
@@ -459,10 +462,9 @@ def _evaluate_rows(
                 phi2 = phi_of(s_next)
                 reward = reward_of(s)
                 s = s_next
-                if varying:
-                    # only alpha_bound reads the trace argument: the trace entering this step
-                    e_in = update_trace(e, phi, disc) if alpha_bound else phi
-                    alpha = next_alpha(schedule, t, e_in, phi, phi2, gamma)
+                if polynomial:
+                    # a polynomial alpha reads only the step count
+                    alpha = next_alpha(schedule, t, e, phi, phi2, gamma)
                 w, e = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
                 if on_step is not None:
                     on_step(Transition(phi_t=phi, reward=reward, phi_next=phi2), alpha, e)
@@ -512,12 +514,8 @@ def _row_result(
 # Cells and sweeps
 
 
-def _make_env(config: ExperimentConfig):
-    if config.domain == "puddle_world":
-        return PuddleWorld()
-    if config.domain == "cart_pole":
-        return CartPole()
-    raise ConfigError(f"domain {config.domain!r} has no environment")
+# the environment class of each sarsa_* domain
+_ENVS = {"puddle_world": PuddleWorld, "cart_pole": CartPole}
 
 
 def _algorithm_parts(algorithm: str) -> tuple[str, str]:
@@ -547,22 +545,12 @@ def run_cell(
         raise ConfigError(f"alpha0 must be positive and finite, got {alpha0}")
     if seed_idx < 0:
         raise ConfigError(f"seed index must be >= 0, got {seed_idx}")
+    if config.algorithm.startswith("td_"):
+        return _td_rows(config, [(alpha0, seed_idx)], on_step)[0]
+
     seed = cell_seed(config.base_seed, alpha0, seed_idx)
     variant, sched_kind = _algorithm_parts(config.algorithm)
-    if config.algorithm.startswith("td_"):
-        result = run_td_evaluation(
-            _shared_mrp(config),
-            config.disc,
-            make_schedule(sched_kind, alpha0),
-            config.total_steps,
-            seed,
-            implicit=(variant == "implicit"),
-            eval_window=config.eval_window,
-            on_step=on_step,
-        )
-        return _td_sweep_row(config, alpha0, seed_idx, result)
-
-    env = _make_env(config)
+    env = _ENVS[config.domain]()
     basis = make_fourier_basis(config.fourier_order, env.obs_dim)
     agent = SarsaAgent(
         learner=make_learner(basis.k * env.n_actions, config.disc),
@@ -620,19 +608,35 @@ def run_cell(
     )
 
 
-def _td_sweep_row(
-    config: ExperimentConfig, alpha0: float, seed_idx: int, result: TdEvalResult
-) -> SweepResult:
-    return SweepResult(
-        domain=config.domain,
-        algorithm=config.algorithm,
-        alpha0=alpha0,
-        seed=seed_idx,
-        final_avg_reward=result.mean_reward_last_window,
-        diverged=result.diverged,
-        max_weight_norm=result.max_weight_abs,
-        steps_completed=result.steps_completed,
+def _td_rows(
+    config: ExperimentConfig, cells: list[tuple[float, int]], on_step: StepHook | None = None
+) -> list[SweepResult]:
+    """Rows of td_* (alpha0, seed index) cells, run in lockstep through
+    _evaluate_rows on the sweep's shared MRP; one cell is run_cell's row."""
+    variant, sched_kind = _algorithm_parts(config.algorithm)
+    results = _evaluate_rows(
+        _shared_mrp(config),
+        config.disc,
+        [make_schedule(sched_kind, alpha0) for alpha0, _ in cells],
+        config.total_steps,
+        [cell_seed(config.base_seed, alpha0, idx) for alpha0, idx in cells],
+        implicit=(variant == "implicit"),
+        eval_window=config.eval_window,
+        on_step=on_step,
     )
+    return [
+        SweepResult(
+            domain=config.domain,
+            algorithm=config.algorithm,
+            alpha0=alpha0,
+            seed=idx,
+            final_avg_reward=result.mean_reward_last_window,
+            diverged=result.diverged,
+            max_weight_norm=result.max_weight_abs,
+            steps_completed=result.steps_completed,
+        )
+        for (alpha0, idx), result in zip(cells, results)
+    ]
 
 
 def _cell_worker(config: ExperimentConfig, alpha0: float, seed_idx: int) -> SweepResult:
@@ -664,26 +668,13 @@ def _batch_worker(
 ) -> list[SweepResult]:
     """Rows of a batch of (alpha0, seed index) cells, in the batch's order.
 
-    td_* cells run in lockstep through _evaluate_rows. If that raises, the
-    cells rerun one at a time, so only a failing cell gets an error row.
+    td_* cells run in lockstep through _td_rows. If that raises, the cells
+    rerun one at a time, so only a failing cell gets an error row.
     """
     config, cells = args
     if config.algorithm.startswith("td_"):
-        variant, sched_kind = _algorithm_parts(config.algorithm)
         try:
-            results = _evaluate_rows(
-                _shared_mrp(config),
-                config.disc,
-                [make_schedule(sched_kind, alpha0) for alpha0, _ in cells],
-                config.total_steps,
-                [cell_seed(config.base_seed, alpha0, idx) for alpha0, idx in cells],
-                implicit=(variant == "implicit"),
-                eval_window=config.eval_window,
-            )
-            return [
-                _td_sweep_row(config, alpha0, idx, result)
-                for (alpha0, idx), result in zip(cells, results)
-            ]
+            return _td_rows(config, cells)
         except Exception as err:
             print(
                 f"lockstep batch of {len(cells)} cells failed ({type(err).__name__}); "

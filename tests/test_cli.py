@@ -68,12 +68,28 @@ def test_internal_error_exits_three(config_path, monkeypatch):
         CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = 0.5, 1e400"),
         "domain = random_mrp\nalgorithm = td_implicit\nmrp_reward_scale = nan\n",
         "domain = random_mrp\nalgorithm = td_implicit\nmrp_reward_scale = inf\n",
+        CONFIG.replace("sarsa_implicit", "sarsa_semi"),
+        CONFIG.replace("total_steps = 120", "total_steps = 0"),
+        CONFIG + "lambda = 1.5\n",
+        CONFIG + "epsilon = -0.1\n",
+        CONFIG + "fourier_order = -1\n",
+        "domain = random_mrp\nalgorithm = td_implicit\nmrp_states = 1\n",
+        CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = 1, x"),
+        CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = 0.5, 0.5, 5e-1"),
+        "domain = random_mrp\nalgorithm = td_implicit\nalpha0_grid = 0.5, 0.5, 5e-1\n",
     ],
-    ids=["alpha0_inf", "alpha0_1e400", "reward_scale_nan", "reward_scale_inf"],
+    ids=[
+        "alpha0_inf", "alpha0_1e400", "reward_scale_nan", "reward_scale_inf",
+        "unknown_algorithm", "total_steps_0", "lambda_1.5", "epsilon_negative",
+        "fourier_order_negative", "mrp_states_1", "alpha0_not_a_number",
+        "alpha0_repeated_sarsa", "alpha0_repeated_td",
+    ],
 )
 def test_non_finite_config_value_exits_two_before_any_cell(config_text, tmp_path, monkeypatch):
+    # run_cell runs a sarsa_* cell; a td_* sweep runs its cells through _evaluate_rows
     cells = []
     monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+    monkeypatch.setattr(harness, "_evaluate_rows", lambda *args, **kwargs: cells.append(args))
     path = tmp_path / "run.cfg"
     path.write_text(config_text)
     assert cli.main(["sweep", str(path), "--out", str(tmp_path)]) == 2
@@ -88,6 +104,8 @@ def test_non_finite_config_value_exits_two_before_any_cell(config_text, tmp_path
         ["audit", "--alpha", "0.5", "--seed", "-1"],
         ["audit", "--alpha", "inf"],
         ["cell", "--alpha", "inf", "--seed", "0"],
+        ["sweep", "--parallelism", "0"],
+        ["audit", "--alpha", "0.5", "--sample-every", "0"],
     ],
 )
 def test_bad_seed_or_alpha_flag_is_a_config_error(argv, config_path, tmp_path):

@@ -75,6 +75,13 @@ def test_agent_validation():
         make_agent(2, 2, variant="semi")
     with pytest.raises(ValueError):
         make_agent(2, 2, epsilon=1.2)
+    with pytest.raises(ValueError, match="n_actions must be >= 1"):
+        SarsaAgent(
+            learner=make_learner(2, DiscountSpec(gamma=0.9, lam=0.5)),
+            schedule=make_schedule("constant", 0.1),
+            k_state=2,
+            n_actions=0,
+        )
     with pytest.raises(ValueError):
         SarsaAgent(
             learner=make_learner(5, DiscountSpec(gamma=0.9, lam=0.5)),

@@ -41,6 +41,14 @@ def test_fourier_coefficients_lexicographic():
     assert basis.coefficients.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
+@pytest.mark.parametrize(
+    "order,dims,match", [(-1, 2, "order must be >= 0"), (3, 0, "dims must be >= 1")]
+)
+def test_fourier_basis_rejects_a_bad_order_or_dimension(order, dims, match):
+    with pytest.raises(ValueError, match=match):
+        make_fourier_basis(order, dims)
+
+
 def test_fourier_dimension_mismatch():
     basis = make_fourier_basis(order=2, dims=2)
     with pytest.raises(DimensionMismatchError):
@@ -87,6 +95,37 @@ def test_reducible_chain_rejected():
             xi0=np.array([0.5, 0.5]),
             features=np.eye(2),
         )
+
+
+# one field of a valid two-state chain replaced, and the check it trips
+MALFORMED_MRPS = {
+    "p_shape": (dict(p=np.full((2, 3), 1 / 3)), "P must be 2x2"),
+    "r_length": (dict(r=np.zeros(3)), "r and xi0 must have length"),
+    "xi0_length": (dict(xi0=np.full(3, 1 / 3)), "r and xi0 must have length"),
+    "features_1d": (dict(features=np.ones(2)), "features must be an n_states x k"),
+    "features_rows": (dict(features=np.eye(3)), "features must be an n_states x k"),
+    "negative_p": (dict(p=np.array([[1.5, -0.5], [0.5, 0.5]])), "must be nonnegative"),
+    "negative_xi0": (dict(xi0=np.array([1.5, -0.5])), "must be nonnegative"),
+    "p_row_sum": (dict(p=np.array([[0.5, 0.4], [0.5, 0.5]])), "each row of P must sum to 1"),
+    "xi0_sum": (dict(xi0=np.array([0.5, 0.4])), "xi0 must sum to 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MRPS))
+def test_malformed_mrp_rejected(case):
+    override, match = MALFORMED_MRPS[case]
+    valid = dict(
+        n_states=2, p=np.full((2, 2), 0.5), r=np.zeros(2), xi0=np.full(2, 0.5),
+        features=np.eye(2),
+    )
+    FiniteMrp(**valid)
+    with pytest.raises(ValueError, match=match):
+        FiniteMrp(**{**valid, **override})
+
+
+def test_random_chain_needs_two_states():
+    with pytest.raises(ValueError, match="n_states must be >= 2"):
+        random_chain_mrp(1, seed=0)
 
 
 def test_periodic_but_irreducible_chain_accepted():
@@ -323,6 +362,18 @@ def test_puddle_goal_terminates_with_zero_reward():
     assert done and reward == 0.0
     with pytest.raises(RuntimeError):
         env.step(0)
+
+
+@pytest.mark.parametrize(
+    "env,action,match",
+    [(PuddleWorld(), 4, r"action must be in \[0, 4\), got 4"),
+     (CartPole(), 2, "action must be 0 or 1, got 2")],
+    ids=["puddle_world", "cart_pole"],
+)
+def test_out_of_range_action_rejected(env, action, match):
+    env.reset(seed=0)
+    with pytest.raises(ValueError, match=match):
+        env.step(action)
 
 
 def test_puddle_seeded_trajectories_identical():

@@ -151,6 +151,9 @@ def test_config_validation_errors():
         tiny_config(alpha0_grid=(0.5, -1.0))
     with pytest.raises(ConfigError):
         tiny_config(alpha0_grid=(math.inf,))
+    # 5e-1 is 0.5: a repeated alpha0 would run its cells twice
+    with pytest.raises(ConfigError, match="alpha0_grid values must be distinct"):
+        tiny_config(alpha0_grid=(0.5, 0.5, 5e-1))
     with pytest.raises(ConfigError):
         tiny_config(eval_window=301)
     with pytest.raises(ConfigError):
@@ -410,6 +413,24 @@ def test_td_eval_rejects_a_bad_window_or_budget(kwargs, name):
     # no window and no steps stay legal
     res = run_td_evaluation(**{**args, "total_steps": 0, "eval_window": None})
     assert (res.steps_completed, res.mean_reward_last_window) == (0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [("alpha_bound",), ("polynomial", "polynomial"), ("constant", "alpha_bound")],
+    ids=["alpha_bound", "polynomial_stack", "alpha_bound_in_stack"],
+)
+def test_td_eval_takes_constant_schedules_or_one_polynomial_row(kinds):
+    # alpha_bound belongs to SARSA, and a stack of rows steps with constant alphas
+    mrp = random_chain_mrp(5, seed=9)
+    disc = DiscountSpec(gamma=0.9, lam=0.5)
+    schedules = [make_schedule(kind, 0.1) for kind in kinds]
+    seeds = list(range(len(kinds)))
+    with pytest.raises(ValueError, match="constant schedules, or one polynomial row"):
+        if len(kinds) == 1:
+            run_td_evaluation(mrp, disc, schedules[0], 100, seeds[0], implicit=False)
+        else:
+            harness._evaluate_rows(mrp, disc, schedules, 100, seeds, implicit=False)
 
 
 def window_mean_up_front(mrp, seed, total_steps, steps_done, window):

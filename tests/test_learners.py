@@ -184,9 +184,11 @@ def test_divergence_threshold_flags_and_freezes():
     td_step_standard(learner, tr, alpha=1.0)
     assert learner.diverged
     frozen = learner.weights.copy()
-    max_abs = td_step_standard(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
-    assert np.array_equal(learner.weights, frozen)
-    assert max_abs == float(np.max(np.abs(frozen)))  # the pre-step value
+    # a diverged learner takes no step under either rule
+    for step in (td_step_standard, td_step_implicit):
+        max_abs = step(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
+        assert np.array_equal(learner.weights, frozen)
+        assert max_abs == float(np.max(np.abs(frozen)))  # the pre-step value
 
 
 def test_nonfinite_candidate_rejected_state_unchanged():
@@ -261,6 +263,12 @@ def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
                     )
                     assert w_new[i].tobytes() == w_row.tobytes(), (kernel.__name__, i)
                     assert e[i].tobytes() == e_row.tobytes(), (kernel.__name__, i)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_learner_needs_a_positive_dimension(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        make_learner(k, DiscountSpec(gamma=0.9, lam=0.5))
 
 
 def test_alpha_must_be_positive():
