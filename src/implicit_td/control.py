@@ -22,7 +22,9 @@ from .stepsize import StepSizeSchedule, next_alpha, reset_schedule
 VARIANTS = ("standard", "implicit")
 
 # hook called after each learner step with (transition, alpha, e): e is the
-# trace the update used, gamma*lambda*(trace before the step) + phi_t
+# trace the update used, gamma*lambda*(trace before the step) + phi_t. After
+# an applied non-terminal step it is the learner's own trace, so a hook reads
+# it and never writes into it
 StepHook = Callable[[Transition, float, np.ndarray], None]
 
 
@@ -135,10 +137,11 @@ def sarsa_episode(
             sphi_next = stack_features(phi, action, n_actions)
             tr = Transition(phi_t=sphi, reward=reward, phi_next=sphi_next)
 
-        # the trace entering the update; only alpha_bound and the hook read it
-        e = update_trace(learner.trace, sphi, disc) if need_trace else sphi
+        # the trace entering the update, built here when alpha_bound or the
+        # hook reads it and handed to the step, which otherwise builds it
+        e = update_trace(learner.trace, sphi, disc) if need_trace else None
         alpha = next_alpha(sched, learner.step_count, e, sphi, sphi_next, disc.gamma)
-        step_max_abs = step_fn(learner, tr, alpha)
+        step_max_abs = step_fn(learner, tr, alpha, e)
         if on_step is not None:
             on_step(tr, alpha, e)
         if step_max_abs > max_weight_abs:

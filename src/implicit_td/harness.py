@@ -265,7 +265,10 @@ def _csv_schema(row_type: type) -> tuple[str, Callable[[object], str]]:
     def format_row(row: object) -> str:
         vals = values(row)
         checked = pick_floats(vals)
-        if not all(map(math.isfinite, checked)):
+        # a finite sum has only finite terms; an infinite or NaN one may
+        # also come from finite values whose sum overflows, so only then
+        # are the values tested one by one
+        if not math.isfinite(sum(checked)) and not all(map(math.isfinite, checked)):
             bad = next(v for v in checked if not math.isfinite(v))
             raise ValueError(f"refusing to write non-finite CSV value {bad}")
         if bools:
@@ -465,7 +468,10 @@ def _evaluate_rows(
                 if polynomial:
                     # a polynomial alpha reads only the step count
                     alpha = next_alpha(schedule, t, e, phi, phi2, gamma)
-                w, e = step(w, e, phi, phi2, reward, alpha, gamma, decay, False)
+                e_prev = e
+                e = e_prev * decay
+                e += phi
+                w = step(w, e_prev, e, phi, phi2, reward, alpha, gamma, decay, False)
                 if on_step is not None:
                     on_step(Transition(phi_t=phi, reward=reward, phi_next=phi2), alpha, e)
             steps_done += n

@@ -1,8 +1,8 @@
 """Standard and implicit TD(lambda) update rules and the TD fixed-point oracle.
 
 Both learners keep (weights, trace) where the stored trace is the one
-*entering* the next update; each step first decays it and adds the incoming
-features, then applies its rule with the fresh trace:
+*entering* the next update. The caller builds the fresh trace e = gamma *
+lambda * e_prev + phi and the kernel takes it, then applies its rule:
 
     standard:  w' = w + alpha * [r + gamma*phi'.w - phi.w] * e
     implicit:  w' solves w' = w + alpha * [r + gamma*phi'.w
@@ -18,6 +18,9 @@ Each rule is written once, as an array-level kernel (standard_step,
 implicit_step). The TD-evaluation driver calls the kernels directly;
 td_step_standard and td_step_implicit wrap them with input checks and the
 divergence contract below, and return the max-abs weight after the step.
+They take the fresh trace from a caller that has already built it (SARSA,
+when its step size or hook reads it) and build it with update_trace
+otherwise.
 
 Both kernels are rank-polymorphic. On one (k,) row, reward and alpha are
 floats and every inner product is an ndarray.dot call, which reaches BLAS
@@ -37,11 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import DiscountSpec, Transition, check_same_length
-from .core import update_trace  # not called here; kept for bench/layers.py, which rebinds it
+from .core import DiscountSpec, Transition, check_same_length, update_trace
 from .envs import FiniteMrp, stationary_distribution
 
 DIVERGENCE_THRESHOLD = 1e8
@@ -96,28 +99,29 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def standard_step(
-    w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
-    reward: float | np.ndarray, alpha: float | np.ndarray,
+    w: np.ndarray, e_prev: np.ndarray, e: np.ndarray, phi: np.ndarray,
+    phi_next: np.ndarray, reward: float | np.ndarray, alpha: float | np.ndarray,
     gamma: float, decay: float, terminal: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Standard TD(lambda) kernel on plain arrays, without validation:
-    returns (w', e). `decay` is gamma*lambda. Rows are (k,) arrays with float
-    reward and alpha, or (B, k) stacks with (B, 1) columns; `terminal`
-    applies to every row."""
-    e = e_prev * decay
-    e += phi
+    returns w'. `e` is the fresh trace decay*e_prev + phi, with `decay` =
+    gamma*lambda; this rule reads neither e_prev nor decay, which it takes
+    so that both kernels share one signature. Rows are (k,) arrays with
+    float reward and alpha, or (B, k) stacks with (B, 1) columns;
+    `terminal` applies to every row."""
     bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
     delta = reward + bootstrap - _row_dot(phi, w)
-    return w + (alpha * delta) * e, e
+    return w + (alpha * delta) * e
 
 
 def implicit_step(
-    w: np.ndarray, e_prev: np.ndarray, phi: np.ndarray, phi_next: np.ndarray,
-    reward: float | np.ndarray, alpha: float | np.ndarray,
+    w: np.ndarray, e_prev: np.ndarray, e: np.ndarray, phi: np.ndarray,
+    phi_next: np.ndarray, reward: float | np.ndarray, alpha: float | np.ndarray,
     gamma: float, decay: float, terminal: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit TD(lambda) kernel via the rank-one inverse: returns (w', e).
-    Rows and scalars take the shapes standard_step takes.
+) -> np.ndarray:
+    """Implicit TD(lambda) kernel via the rank-one inverse: returns w'.
+    Arguments take the shapes standard_step takes; this rule reads e_prev
+    and decay for its e_prev.w term, and phi only through e.
 
     With b = r + gamma*phi'.w + gamma*lambda*(e_prev.w), the fixed point of
     w' = w + alpha*(b - e.w')*e is
@@ -125,45 +129,51 @@ def implicit_step(
         u  = w + alpha * b * e
         w' = u - (alpha / (1 + alpha*||e||^2)) * (e.u) * e
     """
-    e = e_prev * decay
-    e += phi
     bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
     bracket = reward + bootstrap + decay * _row_dot(e_prev, w)
     u = w + (alpha * bracket) * e
     shrink = alpha / (1.0 + alpha * _row_dot(e, e))
-    return u - (shrink * _row_dot(e, u)) * e, e
+    return u - (shrink * _row_dot(e, u)) * e
 
 
-def td_step_standard(state: TdLearnerState, tr: Transition, alpha: float) -> float:
+def _td_step(
+    kernel: Callable[..., np.ndarray], state: TdLearnerState, tr: Transition,
+    alpha: float, e: np.ndarray | None,
+) -> float:
+    """Check the inputs, build the fresh trace unless the caller passed it,
+    and commit the kernel's w' under the divergence contract."""
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if state.diverged:
+        return float(np.abs(state.weights).max())
+    check_same_length(state.weights, tr.phi_t)
+    disc = state.disc
+    if e is None:
+        e = update_trace(state.trace, tr.phi_t, disc)
+    else:
+        check_same_length(e, tr.phi_t)
+    w_new = kernel(
+        state.weights, state.trace, e, tr.phi_t, tr.phi_next, tr.reward,
+        alpha, disc.gamma, disc.trace_decay, tr.terminal,
+    )
+    return _commit(state, tr.terminal, e, w_new)
+
+
+def td_step_standard(
+    state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray | None = None
+) -> float:
     """One accumulating-trace TD(lambda) step. Mutates `state` and returns
-    its max-abs weight."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if state.diverged:
-        return float(np.abs(state.weights).max())
-    check_same_length(state.weights, tr.phi_t)
-    disc = state.disc
-    w_new, e = standard_step(
-        state.weights, state.trace, tr.phi_t, tr.phi_next, tr.reward,
-        alpha, disc.gamma, disc.trace_decay, tr.terminal,
-    )
-    return _commit(state, tr.terminal, e, w_new)
+    its max-abs weight. `e`, when given, must be update_trace(state.trace,
+    tr.phi_t, state.disc), which the step then does not rebuild."""
+    return _td_step(standard_step, state, tr, alpha, e)
 
 
-def td_step_implicit(state: TdLearnerState, tr: Transition, alpha: float) -> float:
+def td_step_implicit(
+    state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray | None = None
+) -> float:
     """One implicit TD(lambda) step (see implicit_step). Mutates `state` and
-    returns its max-abs weight."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if state.diverged:
-        return float(np.abs(state.weights).max())
-    check_same_length(state.weights, tr.phi_t)
-    disc = state.disc
-    w_new, e = implicit_step(
-        state.weights, state.trace, tr.phi_t, tr.phi_next, tr.reward,
-        alpha, disc.gamma, disc.trace_decay, tr.terminal,
-    )
-    return _commit(state, tr.terminal, e, w_new)
+    returns its max-abs weight; `e` is as td_step_standard takes it."""
+    return _td_step(implicit_step, state, tr, alpha, e)
 
 
 def td_fixed_point_oracle(mrp: FiniteMrp, disc: DiscountSpec) -> np.ndarray:

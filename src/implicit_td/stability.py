@@ -30,13 +30,14 @@ import numpy as np
 from .core import check_same_length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TransitionGeometry:
     """The quantities one audit needs: trace e, TD direction d, step-size.
 
     The three inner products e.e, d.d and e.d are taken once, at
-    construction, and kept as e_norm_sq, d_norm_sq and e_dot_d. The class
-    is frozen so that e and d cannot be rebound and leave them stale.
+    construction, and kept as e_norm_sq, d_norm_sq and e_dot_d; they
+    describe the e and d the geometry was built with. One is built per
+    audited step, so the class is not frozen.
     """
 
     e: np.ndarray
@@ -64,9 +65,9 @@ class TransitionGeometry:
             np.isfinite(self.e).all() and np.isfinite(self.d).all()
         ):
             raise ValueError("geometry vectors must be finite")
-        object.__setattr__(self, "e_norm_sq", e_norm_sq)
-        object.__setattr__(self, "d_norm_sq", d_norm_sq)
-        object.__setattr__(self, "e_dot_d", float(self.e.dot(self.d)))
+        self.e_norm_sq = e_norm_sq
+        self.d_norm_sq = d_norm_sq
+        self.e_dot_d = float(self.e.dot(self.d))
 
 
 @dataclass(slots=True)
@@ -83,17 +84,18 @@ class StabilityReport:
 
 
 def _gram_eig_pair(
-    a: float, e_norm_sq: float, d_norm_sq: float, e_dot_d: float
+    a: float, e_norm_sq: float, d_norm_sq: float, e_dot_d: float, ed_norm: float
 ) -> tuple[float, float]:
     """Eigenvalue pair of (I - a*e*d^T)(I - a*e*d^T)^T beyond the unit ones.
 
-    The discriminant equals (a|e||d| - 2)^2 + 4a(|e||d| - e.d) >= 0 in exact
+    ed_norm is |e||d|, taken as sqrt(e_norm_sq * d_norm_sq). The
+    discriminant equals (a|e||d| - 2)^2 + 4a(|e||d| - e.d) >= 0 in exact
     arithmetic. On the boundary e = d, a|e|^2 = 2 rounding can take it just
     below zero, so it is clamped at 0.
     """
     prod = a * a * e_norm_sq * d_norm_sq
     disc = max(prod + 4.0 - 4.0 * a * e_dot_d, 0.0)
-    half_spread = 0.5 * a * math.sqrt(e_norm_sq * d_norm_sq) * math.sqrt(disc)
+    half_spread = 0.5 * a * ed_norm * math.sqrt(disc)
     center = 1.0 + 0.5 * (prod - 2.0 * a * e_dot_d)
     return center + half_spread, center - half_spread
 
@@ -102,14 +104,15 @@ def audit_step(g: TransitionGeometry) -> StabilityReport:
     """Evaluate both closed-form pairs plus the squared norms for one step.
 
     Reads e.e, d.d and e.d from the geometry and takes beta = 1 / (1 +
-    alpha ||e||^2) once; the implicit pair is the standard pair's closed
-    form evaluated at alpha * beta.
+    alpha ||e||^2) and |e||d| once each; the implicit pair is the standard
+    pair's closed form evaluated at alpha * beta.
     """
     e_norm_sq, d_norm_sq, e_dot_d = g.e_norm_sq, g.d_norm_sq, g.e_dot_d
     beta = 1.0 / (1.0 + g.alpha * e_norm_sq)
-    lam_plus, lam_minus = _gram_eig_pair(g.alpha, e_norm_sq, d_norm_sq, e_dot_d)
+    ed_norm = math.sqrt(e_norm_sq * d_norm_sq)
+    lam_plus, lam_minus = _gram_eig_pair(g.alpha, e_norm_sq, d_norm_sq, e_dot_d, ed_norm)
     lam_im_plus, lam_im_minus = _gram_eig_pair(
-        g.alpha * beta, e_norm_sq, d_norm_sq, e_dot_d
+        g.alpha * beta, e_norm_sq, d_norm_sq, e_dot_d, ed_norm
     )
     return StabilityReport(
         beta, lam_plus, lam_minus, lam_im_plus, lam_im_minus,

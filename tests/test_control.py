@@ -138,8 +138,11 @@ def test_max_steps_below_one_is_rejected(max_steps):
 @pytest.mark.parametrize("kind", ["constant", "alpha_bound"])
 def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
     # the hook's e is update_trace(trace before the step, phi_t), bit for bit,
-    # and it is the only trace sarsa_episode computes per step
-    from implicit_td import control
+    # and it is the only trace the episode computes per step: sarsa_episode
+    # builds it and the learner step takes it, so after an applied
+    # non-terminal step the learner's trace is that very array. The hook
+    # only observes: no handed-out trace is written into later.
+    from implicit_td import control, learners
 
     calls = []
     real = control.update_trace
@@ -149,21 +152,30 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
         return real(e_prev, phi, disc)
 
     monkeypatch.setattr(control, "update_trace", counting)
+    monkeypatch.setattr(learners, "update_trace", counting)
     basis = make_fourier_basis(order=1, dims=4)
     agent = make_agent(basis.k, 2, kind=kind, alpha0=0.5)
     agent.featurize = lambda obs: fourier_features(basis, obs)
     disc = agent.learner.disc
     trace_before = [np.zeros(agent.learner.k)]
-    seen = []
+    steps_before = [0]
+    seen, kept = [], []
 
     def hook(tr, alpha, e):
         assert np.array_equal(e, real(trace_before[0], tr.phi_t, disc))
+        applied = agent.learner.step_count == steps_before[0] + 1
+        if applied and not tr.terminal:
+            assert agent.learner.trace is e
         trace_before[0] = agent.learner.trace.copy()
+        steps_before[0] = agent.learner.step_count
+        kept.append((e, e.copy()))
         seen.append(tr)
 
     stats = sarsa_episode(agent, CartPole(), seed=4, on_step=hook)
     assert stats.terminated and seen[-1].terminal
     assert len(seen) == stats.steps == len(calls)
+    assert agent.learner.step_count == stats.steps
+    assert all(e.tobytes() == copy.tobytes() for e, copy in kept)
 
 
 class _SinglePolicyEnv:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -303,14 +304,25 @@ def test_csv_refuses_nonfinite(tmp_path):
     sweep_row = run_cell(tiny_config(total_steps=50, eval_window=25), 0.25, 0)
     audit_row = AuditRow(1, 0.5, 1.0, 0.5, 1.0, 0.25, 1.0, 1.0, 1.0)
     out = tmp_path / "bad.csv"
-    for write, row, field in [
-        (write_sweep_csv, sweep_row, "final_avg_reward"),
-        (write_sweep_csv, sweep_row, "alpha0"),
-        (write_audit_csv, audit_row, "beta"),
-        (write_audit_csv, audit_row, "ratio"),
+    for write, fmt, row in [
+        (write_sweep_csv, format_sweep_row, sweep_row),
+        (write_audit_csv, harness._format_audit_row, audit_row),
     ]:
-        for value in (math.nan, math.inf, -math.inf):
-            bad = dataclasses.replace(row, **{field: value})
+        float_fields = [f.name for f in dataclasses.fields(row) if f.type in (float, "float")]
+        # finite floats whose sum overflows to +inf or -inf still write
+        rows = [row]
+        for huge in (1e308, -1e308):
+            big = dataclasses.replace(row, **dict.fromkeys(float_fields, huge))
+            write([row, big], out)
+            assert out.read_text().splitlines()[-1] == fmt(big)
+            out.unlink()
+            rows.append(big)
+        # a non-finite value in any float field is refused, also next to
+        # finite values whose sum overflows
+        for base, field, value in itertools.product(
+            rows, float_fields, (math.nan, math.inf, -math.inf)
+        ):
+            bad = dataclasses.replace(base, **{field: value})
             with pytest.raises(
                 ValueError, match=f"refusing to write non-finite CSV value {value}"
             ):

@@ -223,9 +223,10 @@ def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
     tr = transition(phi_t, 0.0, phi_next)
     kernel, step = (implicit_step, td_step_implicit) if implicit else (standard_step, td_step_standard)
     with np.errstate(over="ignore", invalid="ignore"):
-        candidate, _ = kernel(
-            learner.weights, learner.trace, tr.phi_t, tr.phi_next, tr.reward,
-            1.0, disc.gamma, disc.trace_decay, tr.terminal,
+        candidate = kernel(
+            learner.weights, learner.trace, update_trace(learner.trace, tr.phi_t, disc),
+            tr.phi_t, tr.phi_next, tr.reward, 1.0, disc.gamma, disc.trace_decay,
+            tr.terminal,
         )
         expected = {"nan_only": [np.nan], "plus_inf": [np.inf], "minus_inf": [-np.inf]}[kind]
         assert np.array_equal(candidate, expected, equal_nan=True)
@@ -238,6 +239,43 @@ def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
     assert max_abs == abs(w0[0])  # the pre-step max-abs
 
 
+@pytest.mark.parametrize("implicit", [False, True], ids=["standard", "implicit"])
+@pytest.mark.parametrize("k", [64, 512])
+@pytest.mark.parametrize("case", ["non_terminal", "terminal", "rejected"])
+def test_a_passed_trace_steps_as_the_built_one_bit_for_bit(case, k, implicit):
+    # td_step_* given update_trace's trace must match the call that builds
+    # its own: same max-abs, weights, trace, step count and flag
+    disc = DiscountSpec(gamma=0.95, lam=0.7)
+    rng = np.random.default_rng(k + 7 * implicit)
+    w0, trace0, phi_t, phi_next = (rng.normal(size=k) for _ in range(4))
+    alpha = 0.3
+    if case == "rejected":
+        # the nan_only candidate of NONFINITE_CANDIDATES, padded with zeros
+        w0, trace0, phi_t, phi_next = (np.zeros(k) for _ in range(4))
+        w0[0], trace0[0], phi_t[0], phi_next[0] = 1e308, 0.5, 2.0, 2.0
+        alpha = 1.0
+    tr = transition(phi_t, float(rng.normal()), phi_next, terminal=case == "terminal")
+    step = td_step_implicit if implicit else td_step_standard
+    outcomes = []
+    for pass_trace in (False, True):
+        learner = TdLearnerState(weights=w0.copy(), trace=trace0.copy(), disc=disc)
+        e = update_trace(learner.trace, tr.phi_t, disc) if pass_trace else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            max_abs = step(learner, tr, alpha, e)
+        outcomes.append((
+            max_abs.hex(), learner.weights.tobytes(), learner.trace.tobytes(),
+            learner.step_count, learner.diverged,
+        ))
+    assert outcomes[0] == outcomes[1]
+    _, weights, trace, step_count, diverged = outcomes[1]
+    if case == "rejected":
+        assert diverged and step_count == 0
+        assert weights == w0.tobytes() and trace == trace0.tobytes()
+    else:
+        assert not diverged and step_count == 1
+        assert (trace == np.zeros(k).tobytes()) == (case == "terminal")
+
+
 @pytest.mark.parametrize("batch", [1, 2, 8, 33])
 @pytest.mark.parametrize("k", [1, 2, 5, 50, 64, 512])
 def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
@@ -248,21 +286,21 @@ def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
     for offset in range(3):
         scale = np.array([(1e-3, 1.0, 1e3)[(i + offset) % 3] for i in range(batch)])[:, None]
         w, e_prev, phi, phi_next = (scale * rng.normal(size=(batch, k)) for _ in range(4))
+        e = decay * e_prev + phi
         reward = scale * rng.normal(size=(batch, 1))
         alpha = rng.uniform(1e-3, 2.0, size=(batch, 1))
         for kernel in (standard_step, implicit_step):
             for terminal in (False, True):
-                w_new, e = kernel(
-                    w, e_prev, phi, phi_next, reward, alpha, gamma, decay, terminal
+                w_new = kernel(
+                    w, e_prev, e, phi, phi_next, reward, alpha, gamma, decay, terminal
                 )
-                assert w_new.shape == e.shape == (batch, k)
+                assert w_new.shape == (batch, k)
                 for i in range(batch):
-                    w_row, e_row = kernel(
-                        w[i], e_prev[i], phi[i], phi_next[i], float(reward[i, 0]),
+                    w_row = kernel(
+                        w[i], e_prev[i], e[i], phi[i], phi_next[i], float(reward[i, 0]),
                         float(alpha[i, 0]), gamma, decay, terminal,
                     )
                     assert w_new[i].tobytes() == w_row.tobytes(), (kernel.__name__, i)
-                    assert e[i].tobytes() == e_row.tobytes(), (kernel.__name__, i)
 
 
 @pytest.mark.parametrize("k", [0, -1])

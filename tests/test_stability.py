@@ -264,8 +264,9 @@ def test_geometry_accepts_finite_entries_whose_squares_overflow():
 def audit_step_from_dots(alpha, e_norm_sq, d_norm_sq, e_dot_d):
     """The closed forms of audit_step on given inner products."""
     beta = 1.0 / (1.0 + alpha * e_norm_sq)
-    lp, lm = _gram_eig_pair(alpha, e_norm_sq, d_norm_sq, e_dot_d)
-    lip, lim = _gram_eig_pair(alpha * beta, e_norm_sq, d_norm_sq, e_dot_d)
+    ed_norm = math.sqrt(e_norm_sq * d_norm_sq)
+    lp, lm = _gram_eig_pair(alpha, e_norm_sq, d_norm_sq, e_dot_d, ed_norm)
+    lip, lim = _gram_eig_pair(alpha * beta, e_norm_sq, d_norm_sq, e_dot_d, ed_norm)
     return StabilityReport(beta, lp, lm, lip, lim, max(lp, 1.0), max(lip, 1.0))
 
 
