@@ -5,6 +5,7 @@ Subcommands:
   sweep <config>        run the alpha0 x seed grid, write sweep.csv
   audit <config>        run one cell with per-step stability audits, write audit.csv
   fixed-point           compare both learners against the fixed-point oracle
+                        (the standard learner runs in a worker process)
   cell <config>         run a single (alpha0, seed index) cell, print its row
 
 Output directory resolution: --out flag, else the IMPLICIT_TD_OUT

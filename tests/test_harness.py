@@ -4,8 +4,10 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,17 +499,32 @@ def fixed_point_run(steps):
     fixed_point_check(5, 0, DiscountSpec(gamma=0.8, lam=0.5), steps)
 
 
+def fixed_point_standard_leg(steps):
+    # the leg fixed_point_check hands to its worker, where tracemalloc cannot
+    # see it, run in this process on the same chain
+    mrp = random_chain_mrp(5, mix64(0))
+    disc = DiscountSpec(gamma=0.8, lam=0.5)
+    w_star = td_fixed_point_oracle(mrp, disc)
+    harness._fixed_point_leg(mrp, disc, steps, mix64(1), w_star, None, implicit=False)
+
+
 @pytest.mark.parametrize(
     "run,steps",
-    [(one_row_window_100, 30_000), (fixed_point_run, 25_000)],
-    ids=["one_row", "fixed_point_check"],
+    [
+        (one_row_window_100, 30_000),
+        (fixed_point_run, 25_000),
+        (fixed_point_standard_leg, 25_000),
+    ],
+    ids=["one_row", "fixed_point_check", "fixed_point_standard_leg"],
 )
 def test_td_eval_memory_is_bounded_by_the_window(run, steps):
     # a run holding its whole path peaks near 24 bytes per step (the states,
     # their concatenation and their rewards): ~720 KiB for the one row's 30k
-    # steps, ~600 KiB for the two 25k-step runs of the fixed-point check. A
+    # steps, ~600 KiB for a 25k-step run of each fixed-point learner. A
     # row holds at most eval_window + CHECK_EVERY + 1 states, which with
     # its learner's arrays and the block being stepped stays near 64 KiB.
+    # fixed_point_check runs its standard learner in a worker process, so
+    # its case traces the implicit learner and the pool's own allocations.
     run(10)  # first-call allocations are not the run's
     tracemalloc.start()
     try:
@@ -780,6 +797,72 @@ def test_fixed_point_check_zero_rewards_exact():
     assert err[False] == 0.0
     assert err[True] == 0.0
     assert w_star == pytest.approx(np.zeros(4), abs=1e-12)
+
+
+# (n_states, seed, gamma, lam, steps, target_tol): criterion 4's first chain,
+# whose learners stop early at the tolerance after 29k and 40k steps, and a
+# short run to its full budget
+FIXED_POINT_CASES = {
+    "early_exit": (5, 0, 0.8, 0.5, 10**6, 0.05),
+    "full_budget": (4, 3, 0.9, 0.3, 7_500, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_POINT_CASES))
+def test_fixed_point_check_equals_two_in_process_runs(case):
+    n_states, seed, gamma, lam, steps, target_tol = FIXED_POINT_CASES[case]
+    disc = DiscountSpec(gamma=gamma, lam=lam)
+    report = fixed_point_check(n_states, seed, disc, steps, target_tol=target_tol)
+    # the reference: both learners one after the other in this process, with
+    # the settings fixed_point_check documents
+    mrp = random_chain_mrp(n_states, mix64(seed))
+    w_star = td_fixed_point_oracle(mrp, disc)
+    runs = {
+        implicit: run_td_evaluation(
+            mrp, disc, make_schedule("polynomial", harness.FIXED_POINT_ALPHA0), steps,
+            mix64(seed ^ 1), implicit=implicit, eval_window=1,
+            target_weights=w_star, target_tol=target_tol,
+        )
+        for implicit in (False, True)
+    }
+    assert report.n_states == n_states and report.seed == seed
+    assert report.w_star.dtype == w_star.dtype
+    assert report.w_star.tobytes() == w_star.tobytes()
+    for implicit, err, done in (
+        (False, report.err_standard, report.steps_standard),
+        (True, report.err_implicit, report.steps_implicit),
+    ):
+        expected = float(np.max(np.abs(runs[implicit].weights - w_star)))
+        assert float_bits(err) == float_bits(expected)
+        assert done == runs[implicit].steps_completed
+        if target_tol is None:
+            assert done == steps
+        else:
+            assert done < steps and err <= target_tol
+
+
+def _child_pids():
+    """Every live child process of this one, whatever started it, read from
+    Linux's /proc (empty elsewhere)."""
+    return {
+        int(pid)
+        for path in Path("/proc/self/task").glob("*/children")
+        for pid in path.read_text().split()
+    }
+
+
+def test_fixed_point_check_leaves_no_process_behind():
+    # the pool is shut down on return and on raise; a pool started by another
+    # method than fork would leave multiprocessing's resource tracker (spawn)
+    # or its fork server running, which the /proc read sees
+    disc = DiscountSpec(gamma=0.8, lam=0.5)
+    fixed_point_check(5, 0, disc, 3_000)
+    assert multiprocessing.active_children() == []
+    assert _child_pids() == set()
+    with pytest.raises(ValueError, match="total_steps must be >= 0, got -1"):
+        fixed_point_check(5, 0, disc, -1)
+    assert multiprocessing.active_children() == []
+    assert _child_pids() == set()
 
 
 def test_fixed_point_check_converges_on_easy_chain():
