@@ -56,9 +56,7 @@ class SarsaAgent:
 class EpisodeStats:
     total_return: float
     steps: int
-    diverged: bool
-    terminated: bool  # env signalled done (cap included); False on budget cut
-    max_weight_abs: float
+    terminated: bool  # env signalled done (cap included); False on a cut
 
 
 def stack_features(phi_s: np.ndarray, action: int, n_actions: int) -> np.ndarray:
@@ -99,13 +97,15 @@ def sarsa_episode(
     `seed` drives both the environment reset and an independent policy
     stream. `max_steps` cuts the episode at a step budget without terminal
     bookkeeping (the trace survives for the caller to inspect); it must be
-    at least 1. Divergence aborts the episode with the flag set.
+    at least 1. The step that makes the learner diverge ends the episode,
+    and a learner that has already diverged takes no step; the caller reads
+    divergence and the max-abs weight from the learner's record.
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     learner = agent.learner
     if learner.diverged:
-        return EpisodeStats(0.0, 0, True, False, float(np.max(np.abs(learner.weights))))
+        return EpisodeStats(0.0, 0, False)
     rng = np.random.default_rng((seed, 1))
     disc = learner.disc
     step_fn = td_step_implicit if agent.variant == "implicit" else td_step_standard
@@ -123,7 +123,6 @@ def sarsa_episode(
 
     total = 0.0
     steps = 0
-    max_weight_abs = float(np.max(np.abs(learner.weights)))
     while True:
         obs, reward, done = env.step(action)
         total += reward
@@ -141,15 +140,9 @@ def sarsa_episode(
         # hook reads it and handed to the step, which otherwise builds it
         e = update_trace(learner.trace, sphi, disc) if need_trace else None
         alpha = next_alpha(sched, learner.step_count, e, sphi, sphi_next, disc.gamma)
-        step_max_abs = step_fn(learner, tr, alpha, e)
+        step_fn(learner, tr, alpha, e)
         if on_step is not None:
             on_step(tr, alpha, e)
-        if step_max_abs > max_weight_abs:
-            max_weight_abs = step_max_abs
-        if learner.diverged:
-            return EpisodeStats(total, steps, True, done, max_weight_abs)
-        if done:
-            return EpisodeStats(total, steps, False, True, max_weight_abs)
-        if max_steps is not None and steps >= max_steps:
-            return EpisodeStats(total, steps, False, False, max_weight_abs)
+        if learner.diverged or done or (max_steps is not None and steps >= max_steps):
+            return EpisodeStats(total, steps, done)
         sphi = sphi_next

@@ -39,6 +39,7 @@ from .envs import (
 )
 from .learners import (
     DIVERGENCE_THRESHOLD,
+    fold_max_abs,
     implicit_step,
     make_learner,
     standard_step,
@@ -289,9 +290,12 @@ AUDIT_HEADER, _format_audit_row = _csv_schema(AuditRow)
 class TdEvalResult:
     weights: np.ndarray
     steps_completed: int
-    diverged: bool
-    max_weight_abs: float
+    max_weight_abs: float  # the run's max-abs record (see learners.fold_max_abs)
     mean_reward_last_window: float
+
+    @property
+    def diverged(self) -> bool:
+        return self.max_weight_abs > DIVERGENCE_THRESHOLD
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,10 +311,6 @@ class FixedPointReport:
 
 # ---------------------------------------------------------------------------
 # MRP evaluation driver
-
-# Sentinel reported as max_weight_norm when divergence was detected through a
-# non-finite candidate before any finite weight crossed the threshold.
-_NONFINITE_NORM = 10.0 * DIVERGENCE_THRESHOLD
 
 # steps between divergence / early-exit checks of a TD evaluation
 CHECK_EVERY = 1000
@@ -353,12 +353,11 @@ def run_td_evaluation(
     Transition is built only for the hook, which observes and never changes
     the result.
 
-    Divergence (non-finite weights, or max-abs weight above
-    DIVERGENCE_THRESHOLD) and the optional early-exit target are checked
-    every CHECK_EVERY steps and at the last step. The run stops at the first
-    check that trips, so steps_completed is a multiple of CHECK_EVERY or
-    total_steps, and max_weight_abs is the largest max-abs weight seen at a
-    check (_NONFINITE_NORM at least, when the weights went non-finite).
+    Divergence and the optional early-exit target are checked every
+    CHECK_EVERY steps and at the last step; each check folds the weights'
+    max-abs into max_weight_abs by learners.fold_max_abs (NONFINITE_MAX_ABS
+    once they went non-finite). The run stops at the first check that trips,
+    so steps_completed is a multiple of CHECK_EVERY or total_steps.
     """
     (result,) = _evaluate_rows(
         mrp, disc, [schedule], total_steps, [seed], implicit, eval_window,
@@ -370,13 +369,12 @@ def run_td_evaluation(
 @dataclass(slots=True)
 class _PathRow:
     """One row of a lockstep TD evaluation: its path generator, the trailing
-    blocks of states its reward window can still read, what its checks have
-    seen, and its result."""
+    blocks of states its reward window can still read, the max-abs record of
+    its checks, and its result."""
 
     rng: np.random.Generator
     visited: list[np.ndarray]
     max_abs: float = 0.0
-    diverged: bool = False
     result: TdEvalResult | None = None
 
 
@@ -477,13 +475,10 @@ def _evaluate_rows(
             steps_done += n
             keep = []
             for i, (row, weights) in enumerate(zip(live, np.atleast_2d(w))):
-                # max propagates NaN and +-inf: cur is finite iff every weight is
-                cur = float(np.abs(weights).max())
-                finite = math.isfinite(cur)
-                row.max_abs = max(row.max_abs, cur if finite else _NONFINITE_NORM)
-                row.diverged = not finite or cur > DIVERGENCE_THRESHOLD
+                # max propagates NaN and +-inf, so a non-finite weight folds in as such
+                row.max_abs = fold_max_abs(row.max_abs, float(np.abs(weights).max()))
                 if (
-                    row.diverged
+                    row.max_abs > DIVERGENCE_THRESHOLD
                     or steps_done == total_steps
                     or (
                         target_weights is not None
@@ -510,7 +505,6 @@ def _row_result(
     return TdEvalResult(
         weights=weights,
         steps_completed=steps_done,
-        diverged=row.diverged,
         max_weight_abs=row.max_abs,
         mean_reward_last_window=float(rewards.mean()) if n else 0.0,
     )
@@ -571,27 +565,24 @@ def run_cell(
     episode_idx = 0
     finished: list[tuple[int, float]] = []  # (cumulative step at end, return)
     partial_return: float | None = None
-    max_abs = 0.0
-    diverged = False
-    while steps_done < config.total_steps:
-        budget = config.total_steps - steps_done
-        stats = sarsa_episode(
-            agent, env, episode_seed(seed, episode_idx), max_steps=budget,
-            on_step=on_step,
-        )
-        steps_done += stats.steps
-        episode_idx += 1
-        if stats.max_weight_abs > max_abs:
-            max_abs = stats.max_weight_abs
-        if stats.diverged:
-            diverged = True
-            if max_abs <= DIVERGENCE_THRESHOLD:
-                max_abs = _NONFINITE_NORM
-            break
-        if stats.terminated:
-            finished.append((steps_done, stats.total_return))
-        else:
-            partial_return = stats.total_return  # budget cut the episode
+    learner = agent.learner
+    # a diverging cell steps on until its weights pass the threshold or go
+    # non-finite; that overflow is expected, not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps_done < config.total_steps:
+            budget = config.total_steps - steps_done
+            stats = sarsa_episode(
+                agent, env, episode_seed(seed, episode_idx), max_steps=budget,
+                on_step=on_step,
+            )
+            steps_done += stats.steps
+            episode_idx += 1
+            if learner.diverged:
+                break
+            if stats.terminated:
+                finished.append((steps_done, stats.total_return))
+            else:
+                partial_return = stats.total_return  # budget cut the episode
     window_start = steps_done - config.eval_window
     in_window = [ret for end, ret in finished if end > window_start]
     if in_window:
@@ -608,8 +599,8 @@ def run_cell(
         alpha0=alpha0,
         seed=seed_idx,
         final_avg_reward=final_avg,
-        diverged=diverged,
-        max_weight_norm=max_abs,
+        diverged=learner.diverged,
+        max_weight_norm=learner.max_abs,
         steps_completed=steps_done,
     )
 

@@ -17,10 +17,9 @@ update.
 Each rule is written once, as an array-level kernel (standard_step,
 implicit_step). The TD-evaluation driver calls the kernels directly;
 td_step_standard and td_step_implicit wrap them with input checks and the
-divergence contract below, and return the max-abs weight after the step.
-They take the fresh trace from a caller that has already built it (SARSA,
-when its step size or hook reads it) and build it with update_trace
-otherwise.
+divergence contract below, mutate the learner and return None. They take
+the fresh trace from a caller that has already built it (SARSA, when its
+step size or hook reads it) and build it with update_trace otherwise.
 
 Both kernels are rank-polymorphic. On one (k,) row, reward and alpha are
 floats and every inner product is an ndarray.dot call, which reaches BLAS
@@ -29,11 +28,10 @@ rows stepping in lockstep, reward and alpha are (B, 1) columns and the inner
 products are np.vecdot over the rows, which makes the same ddot call once
 per row. So each row of a stack comes out bit for bit as its own 1-D call.
 
-Divergence contract: a step that would produce non-finite weights sets the
-`diverged` flag and leaves the state otherwise untouched; a finite result
-whose max-abs exceeds DIVERGENCE_THRESHOLD is applied and then flagged.
-Flagged learners ignore further steps. A rejected or ignored step returns
-the max-abs of the weights it left in place.
+Divergence contract: each candidate's max-abs folds into the learner's
+running record (fold_max_abs). A non-finite candidate is rejected, leaving
+the state otherwise untouched. `diverged` is derived: the record exceeds
+DIVERGENCE_THRESHOLD. A diverged learner ignores further steps.
 """
 
 from __future__ import annotations
@@ -48,6 +46,16 @@ from .core import DiscountSpec, Transition, check_same_length, update_trace
 from .envs import FiniteMrp, stationary_distribution
 
 DIVERGENCE_THRESHOLD = 1e8
+# what a non-finite max-abs folds in as: above the threshold, so the record
+# says diverged either way, and finite, so it can be written to a CSV row
+NONFINITE_MAX_ABS = 10.0 * DIVERGENCE_THRESHOLD
+
+
+def fold_max_abs(recorded: float, max_abs: float) -> float:
+    """The max-abs record after weights of max-abs `max_abs` were seen."""
+    if not math.isfinite(max_abs):
+        max_abs = NONFINITE_MAX_ABS
+    return max_abs if max_abs > recorded else recorded  # cheaper than max()
 
 
 @dataclass(slots=True)
@@ -56,11 +64,15 @@ class TdLearnerState:
     trace: np.ndarray
     disc: DiscountSpec
     step_count: int = 0
-    diverged: bool = False
+    max_abs: float = 0.0  # the largest max-abs of any candidate, folded
 
     @property
     def k(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def diverged(self) -> bool:
+        return self.max_abs > DIVERGENCE_THRESHOLD
 
 
 def make_learner(k: int, disc: DiscountSpec) -> TdLearnerState:
@@ -72,22 +84,19 @@ def make_learner(k: int, disc: DiscountSpec) -> TdLearnerState:
 
 def _commit(
     state: TdLearnerState, terminal: bool, e: np.ndarray, w_new: np.ndarray
-) -> float:
+) -> None:
     """Apply the candidate w_new under the divergence contract.
 
-    One reduction serves both divergence checks: max propagates NaN and
-    +-inf, so the max-abs of w_new is finite exactly when every entry is.
+    One reduction serves the finiteness check and the record: max propagates
+    NaN and +-inf, so the max-abs of w_new is finite exactly when every
+    entry is.
     """
     max_abs = float(np.abs(w_new).max())
-    if not math.isfinite(max_abs):
-        state.diverged = True
-        return float(np.abs(state.weights).max())
-    state.weights = w_new
-    state.trace = np.zeros_like(e) if terminal else e
-    state.step_count += 1
-    if max_abs > DIVERGENCE_THRESHOLD:
-        state.diverged = True
-    return max_abs
+    if math.isfinite(max_abs):
+        state.weights = w_new
+        state.trace = np.zeros_like(e) if terminal else e
+        state.step_count += 1
+    state.max_abs = fold_max_abs(state.max_abs, max_abs)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -139,13 +148,13 @@ def implicit_step(
 def _td_step(
     kernel: Callable[..., np.ndarray], state: TdLearnerState, tr: Transition,
     alpha: float, e: np.ndarray | None,
-) -> float:
+) -> None:
     """Check the inputs, build the fresh trace unless the caller passed it,
     and commit the kernel's w' under the divergence contract."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
-        return float(np.abs(state.weights).max())
+        return
     check_same_length(state.weights, tr.phi_t)
     disc = state.disc
     if e is None:
@@ -156,24 +165,24 @@ def _td_step(
         state.weights, state.trace, e, tr.phi_t, tr.phi_next, tr.reward,
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
     )
-    return _commit(state, tr.terminal, e, w_new)
+    _commit(state, tr.terminal, e, w_new)
 
 
 def td_step_standard(
     state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray | None = None
-) -> float:
-    """One accumulating-trace TD(lambda) step. Mutates `state` and returns
-    its max-abs weight. `e`, when given, must be update_trace(state.trace,
-    tr.phi_t, state.disc), which the step then does not rebuild."""
-    return _td_step(standard_step, state, tr, alpha, e)
+) -> None:
+    """One accumulating-trace TD(lambda) step; mutates `state`. `e`, when
+    given, must be update_trace(state.trace, tr.phi_t, state.disc), which
+    the step then does not rebuild."""
+    _td_step(standard_step, state, tr, alpha, e)
 
 
 def td_step_implicit(
     state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray | None = None
-) -> float:
-    """One implicit TD(lambda) step (see implicit_step). Mutates `state` and
-    returns its max-abs weight; `e` is as td_step_standard takes it."""
-    return _td_step(implicit_step, state, tr, alpha, e)
+) -> None:
+    """One implicit TD(lambda) step (see implicit_step); mutates `state`.
+    `e` is as td_step_standard takes it."""
+    _td_step(implicit_step, state, tr, alpha, e)
 
 
 def td_fixed_point_oracle(mrp: FiniteMrp, disc: DiscountSpec) -> np.ndarray:

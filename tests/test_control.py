@@ -13,7 +13,7 @@ from implicit_td.control import (
 )
 from implicit_td.core import DiscountSpec, Transition
 from implicit_td.envs import CartPole, fourier_features, make_fourier_basis
-from implicit_td.learners import make_learner, td_step_standard
+from implicit_td.learners import NONFINITE_MAX_ABS, make_learner, td_step_standard
 from implicit_td.stepsize import make_schedule
 
 
@@ -109,10 +109,10 @@ def test_episode_deterministic_per_seed():
 
 def test_diverged_agent_returns_immediately():
     agent = make_agent(4, 2)
-    agent.learner.diverged = True
+    agent.learner.max_abs = NONFINITE_MAX_ABS
     before = agent.learner.weights.copy()
     stats = sarsa_episode(agent, CartPole(), seed=0)
-    assert stats.diverged and stats.steps == 0
+    assert agent.learner.diverged and stats.steps == 0
     assert np.array_equal(agent.learner.weights, before)
 
 

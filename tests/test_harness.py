@@ -8,9 +8,12 @@ import multiprocessing
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicit_td import harness
 from implicit_td.core import DiscountSpec
@@ -36,7 +39,7 @@ from implicit_td.harness import (
     write_audit_csv,
     write_sweep_csv,
 )
-from implicit_td.learners import DIVERGENCE_THRESHOLD, td_fixed_point_oracle
+from implicit_td.learners import DIVERGENCE_THRESHOLD, NONFINITE_MAX_ABS, td_fixed_point_oracle
 from implicit_td.stepsize import make_schedule
 
 SARSA_KW = dict(domain="cart_pole", algorithm="sarsa_implicit")
@@ -208,6 +211,27 @@ def test_run_cell_divergence_row_invariant():
     assert row.steps_completed < 2000  # halted early
 
 
+@pytest.mark.parametrize("domain", ["cart_pole", "puddle_world"])
+@pytest.mark.parametrize(
+    "algorithm,max_weight_norm",
+    # implicit: the first candidate overflows to non-finite and is rejected;
+    # standard: the first candidate is finite and far past the threshold
+    [("sarsa_implicit", NONFINITE_MAX_ABS), ("sarsa_standard", 1e308)],
+)
+def test_sarsa_cell_diverging_at_once_is_a_row_not_a_warning(domain, algorithm, max_weight_norm):
+    config = ExperimentConfig(
+        domain=domain, algorithm=algorithm, alpha0_grid=(1e308,), total_steps=300,
+        n_seeds=1, eval_window=100,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = run_sweep(config)
+    assert row.status == "ok"
+    assert row.diverged
+    assert row.max_weight_norm == max_weight_norm
+    assert row.steps_completed == 1
+
+
 def test_run_cell_rejects_bad_cell_coordinates():
     cfg = tiny_config()
     with pytest.raises(ConfigError):
@@ -363,6 +387,22 @@ def test_td_eval_hook_only_observes(alpha0, diverges):
     # standard TD's first divergence here is at step 747 (alpha0 1.5) or earlier;
     # the run stops at the next check
     assert plain.steps_completed == (1000 if diverges else 4000)
+
+
+@pytest.mark.parametrize("alpha0,max_abs", [(0.05, None), (1.5, None), (8.0, NONFINITE_MAX_ABS)])
+def test_td_eval_diverged_is_read_from_the_max_abs_record(alpha0, max_abs):
+    res = run_td_evaluation(
+        random_chain_mrp(5, seed=9), DiscountSpec(gamma=0.9, lam=0.5),
+        make_schedule("constant", alpha0), 4000, seed=3, implicit=False,
+    )
+    assert res.diverged == (res.max_weight_abs > DIVERGENCE_THRESHOLD) == (alpha0 > 1.0)
+    if max_abs is not None:  # the weights went non-finite
+        assert not np.isfinite(res.weights).all()
+        assert res.max_weight_abs == max_abs
+    # a td_* row reports the same record and the flag read from it
+    config = td_config(alpha0_grid=(alpha0,), n_seeds=1, total_steps=4000)
+    (row,) = run_sweep(config)
+    assert row.diverged == (row.max_weight_norm > DIVERGENCE_THRESHOLD) == (alpha0 > 1.0)
 
 
 def test_td_eval_early_exit_at_target():
@@ -703,6 +743,67 @@ def test_failing_lockstep_batch_reruns_its_cells_one_at_a_time(monkeypatch, caps
     assert "lockstep batch of 4 cells failed (RuntimeError)" in err
     assert "cell alpha0=1.0 seed=0 failed: RuntimeError: injected failure" in err
     assert err.count("failed:") == 1
+
+
+# --- determinism: a row depends only on (config, alpha0, seed index)
+
+# 8.0 makes td_standard and sarsa_standard diverge, and 1e308 those and every
+# sarsa_* algorithm at its first step; the small values converge, so a grid
+# mixes rows that stop early with rows that run to the end
+PROPERTY_ALPHA0S = (0.01, 0.125, 0.5, 8.0, 1e308)
+
+
+@st.composite
+def cells_and_batches(draw):
+    """A small config, then a subset of its grid in some order, split into
+    batches."""
+    domain = draw(st.sampled_from(["random_mrp", "cart_pole", "puddle_world"]))
+    td = domain == "random_mrp"
+    algorithm = draw(st.sampled_from(
+        [a for a in harness.ALGORITHMS if a.startswith("td_") == td]
+    ))
+    # td_* rows check every CHECK_EVERY steps, so they need more steps than
+    # sarsa_* rows to leave a stack at different checks
+    total_steps = draw(st.integers(1, 2500) if td else st.integers(1, 300))
+    config = ExperimentConfig(
+        domain=domain,
+        algorithm=algorithm,
+        alpha0_grid=tuple(draw(st.lists(
+            st.sampled_from(PROPERTY_ALPHA0S), min_size=1, max_size=4, unique=True
+        ))),
+        lam=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        fourier_order=draw(st.integers(1, 3)),
+        total_steps=total_steps,
+        n_seeds=draw(st.integers(1, 3)),
+        eval_window=draw(st.integers(1, total_steps)),
+        base_seed=draw(st.integers(0, 2**64 - 1)),
+        mrp_states=draw(st.integers(2, 6)),
+    )
+    grid = [(a, i) for a in config.alpha0_grid for i in range(config.n_seeds)]
+    cells = draw(st.permutations(grid))[: draw(st.integers(1, len(grid)))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(cells) - 1), max_size=3))) if len(cells) > 1 else []
+    batches = [cells[i:j] for i, j in zip([0, *cuts], [*cuts, len(cells)])]
+    return config, batches
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(cells_and_batches())
+def test_a_row_depends_only_on_its_config_alpha0_and_seed_index(drawn):
+    config, batches = drawn
+    line = {
+        (a, i): format_sweep_row(run_cell(config, a, i))
+        for a in config.alpha0_grid for i in range(config.n_seeds)
+    }
+    for batch in batches:
+        if config.algorithm.startswith("td_"):
+            rows = harness._td_rows(config, batch)
+        else:
+            rows = harness._batch_worker((config, batch))
+        assert [format_sweep_row(r) for r in rows] == [line[cell] for cell in batch]
+    with mock.patch.object(harness.os, "cpu_count", return_value=2):
+        for parallelism in (1, 2):
+            rows = run_sweep(config, parallelism)
+            assert [format_sweep_row(r) for r in rows] == [line[cell] for cell in sorted(line)]
 
 
 # --- stability audit

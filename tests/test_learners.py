@@ -7,6 +7,7 @@ from implicit_td.core import DiscountSpec, Transition, update_trace
 from implicit_td.envs import FiniteMrp, random_chain_mrp, stationary_distribution
 from implicit_td.learners import (
     DIVERGENCE_THRESHOLD,
+    NONFINITE_MAX_ABS,
     TdLearnerState,
     implicit_step,
     make_learner,
@@ -38,11 +39,11 @@ def transition(phi_t, reward, phi_next, terminal=False):
 def test_standard_step_hand_value():
     # k=1: delta = 0.1 + 0.9*0.8*0.5 - 0.5 = -0.04, w' = 0.5 - 0.5*0.04
     learner = learner_at([0.5], DiscountSpec(gamma=0.9, lam=0.0))
-    max_abs = td_step_standard(learner, transition([1.0], 0.1, [0.8]), alpha=0.5)
+    td_step_standard(learner, transition([1.0], 0.1, [0.8]), alpha=0.5)
     assert learner.weights[0] == pytest.approx(0.48)
     # w' - w = alpha * delta * e with e = 1
     assert (learner.weights[0] - 0.5) / 0.5 == pytest.approx(-0.04)
-    assert max_abs == learner.weights[0]
+    assert learner.max_abs == learner.weights[0]
     assert learner.step_count == 1
 
 
@@ -64,11 +65,11 @@ def test_zero_weights_zero_reward_invariant_for_both_rules():
 def test_implicit_step_hand_value_and_standard_contrast():
     disc = DiscountSpec(gamma=1e-12, lam=0.0)  # gamma ~ 0; spec'd limit case
     learner = make_learner(1, disc)
-    max_abs = td_step_implicit(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
+    td_step_implicit(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
     assert learner.weights[0] == pytest.approx(0.5)
     # the applied update is alpha * (b - e.w') * e with b = 1, e = 1, w = 0
     assert learner.weights[0] == pytest.approx(1.0 * (1.0 - learner.weights[0]))
-    assert max_abs == learner.weights[0]
+    assert learner.max_abs == learner.weights[0]
 
     learner = make_learner(1, disc)
     td_step_standard(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
@@ -186,19 +187,39 @@ def test_divergence_threshold_flags_and_freezes():
     frozen = learner.weights.copy()
     # a diverged learner takes no step under either rule
     for step in (td_step_standard, td_step_implicit):
-        max_abs = step(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
+        step(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
         assert np.array_equal(learner.weights, frozen)
-        assert max_abs == float(np.max(np.abs(frozen)))  # the pre-step value
+        assert learner.max_abs == float(np.max(np.abs(frozen)))  # the pre-step value
+
+
+def test_max_abs_record_is_a_running_max():
+    learner = learner_at([0.0], DiscountSpec(gamma=0.9, lam=0.0))
+    td_step_standard(learner, transition([1.0], 4.0, [0.0]), alpha=1.0)
+    assert learner.weights[0] == learner.max_abs == 4.0
+    # a second step brings the weight back down; the record stays up
+    td_step_standard(learner, transition([1.0], 1.0, [0.0]), alpha=0.5)
+    assert learner.weights[0] == 2.5
+    assert learner.max_abs == 4.0
+    assert not learner.diverged
+
+
+def test_diverged_is_read_only():
+    learner = make_learner(1, DiscountSpec(gamma=0.9, lam=0.5))
+    with pytest.raises(AttributeError):
+        learner.diverged = True
+    assert not learner.diverged
+    learner.max_abs = NONFINITE_MAX_ABS
+    assert learner.diverged
 
 
 def test_nonfinite_candidate_rejected_state_unchanged():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
     learner = learner_at([1.0], disc)
     learner.weights = np.array([1e308])
-    max_abs = td_step_standard(learner, transition([1.0], 0.0, [-1.0]), alpha=1e6)
+    td_step_standard(learner, transition([1.0], 0.0, [-1.0]), alpha=1e6)
     assert learner.diverged
     assert learner.weights[0] == 1e308  # candidate was discarded
-    assert max_abs == 1e308  # the pre-step value
+    assert learner.max_abs == NONFINITE_MAX_ABS
     assert learner.step_count == 0
 
 
@@ -231,12 +252,12 @@ def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
         expected = {"nan_only": [np.nan], "plus_inf": [np.inf], "minus_inf": [-np.inf]}[kind]
         assert np.array_equal(candidate, expected, equal_nan=True)
         weights, trace = learner.weights, learner.trace
-        max_abs = step(learner, tr, alpha=1.0)
+        step(learner, tr, alpha=1.0)
     assert learner.diverged
     assert learner.weights is weights and learner.weights.tolist() == w0
     assert learner.trace is trace and learner.trace.tolist() == trace0
     assert learner.step_count == 0
-    assert max_abs == abs(w0[0])  # the pre-step max-abs
+    assert learner.max_abs == NONFINITE_MAX_ABS
 
 
 @pytest.mark.parametrize("implicit", [False, True], ids=["standard", "implicit"])
@@ -244,7 +265,7 @@ def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
 @pytest.mark.parametrize("case", ["non_terminal", "terminal", "rejected"])
 def test_a_passed_trace_steps_as_the_built_one_bit_for_bit(case, k, implicit):
     # td_step_* given update_trace's trace must match the call that builds
-    # its own: same max-abs, weights, trace, step count and flag
+    # its own: same max-abs record, weights, trace and step count
     disc = DiscountSpec(gamma=0.95, lam=0.7)
     rng = np.random.default_rng(k + 7 * implicit)
     w0, trace0, phi_t, phi_next = (rng.normal(size=k) for _ in range(4))
@@ -261,9 +282,9 @@ def test_a_passed_trace_steps_as_the_built_one_bit_for_bit(case, k, implicit):
         learner = TdLearnerState(weights=w0.copy(), trace=trace0.copy(), disc=disc)
         e = update_trace(learner.trace, tr.phi_t, disc) if pass_trace else None
         with np.errstate(over="ignore", invalid="ignore"):
-            max_abs = step(learner, tr, alpha, e)
+            step(learner, tr, alpha, e)
         outcomes.append((
-            max_abs.hex(), learner.weights.tobytes(), learner.trace.tobytes(),
+            learner.max_abs.hex(), learner.weights.tobytes(), learner.trace.tobytes(),
             learner.step_count, learner.diverged,
         ))
     assert outcomes[0] == outcomes[1]
