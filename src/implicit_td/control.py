@@ -108,41 +108,46 @@ def sarsa_episode(
         return EpisodeStats(0.0, 0, False)
     rng = np.random.default_rng((seed, 1))
     disc = learner.disc
+    gamma = disc.gamma
     step_fn = td_step_implicit if agent.variant == "implicit" else td_step_standard
     sched = agent.schedule
     need_trace = sched.kind == "alpha_bound" or on_step is not None
     reset_schedule(sched)  # the adaptive bound is episode-scoped, like the trace
     learner.trace = np.zeros(learner.k)
     n_actions = agent.n_actions
+    epsilon = agent.epsilon
+    featurize = agent.featurize
     zero_next = np.zeros(learner.k)
 
     obs = env.reset(seed)
-    phi = agent.featurize(obs)
-    action = epsilon_greedy(action_values(agent, phi), agent.epsilon, rng)
+    env_step = env.step
+    phi = featurize(obs)
+    action = epsilon_greedy(action_values(agent, phi), epsilon, rng)
     sphi = stack_features(phi, action, n_actions)
 
     total = 0.0
     steps = 0
     while True:
-        obs, reward, done = env.step(action)
+        obs, reward, done = env_step(action)
         total += reward
         steps += 1
         if done:
-            tr = Transition(phi_t=sphi, reward=reward, phi_next=zero_next, terminal=True)
+            tr = Transition(sphi, reward, zero_next, True)
             sphi_next = zero_next
         else:
-            phi = agent.featurize(obs)
-            action = epsilon_greedy(action_values(agent, phi), agent.epsilon, rng)
+            phi = featurize(obs)
+            action = epsilon_greedy(action_values(agent, phi), epsilon, rng)
             sphi_next = stack_features(phi, action, n_actions)
-            tr = Transition(phi_t=sphi, reward=reward, phi_next=sphi_next)
+            tr = Transition(sphi, reward, sphi_next)
 
         # the trace entering the update, built here when alpha_bound or the
         # hook reads it and handed to the step, which otherwise builds it
         e = update_trace(learner.trace, sphi, disc) if need_trace else None
-        alpha = next_alpha(sched, learner.step_count, e, sphi, sphi_next, disc.gamma)
+        alpha = next_alpha(sched, learner.step_count, e, sphi, sphi_next, gamma)
         step_fn(learner, tr, alpha, e)
         if on_step is not None:
             on_step(tr, alpha, e)
-        if learner.diverged or done or (max_steps is not None and steps >= max_steps):
+        # == is >= here: steps counts up by one from 1, max_steps is >= 1 or None
+        if done or steps == max_steps or learner.diverged:
             return EpisodeStats(total, steps, done)
         sphi = sphi_next

@@ -189,6 +189,11 @@ class DiscreteActionEnv(Protocol):
     def step(self, action: int) -> tuple[np.ndarray, float, bool]: ...
 
 
+def _clip_unit(v: float) -> float:
+    """min(1.0, max(0.0, v)) bit for bit, NaN included, without two builtin calls."""
+    return 1.0 if v >= 1.0 else (v if v > 0.0 else 0.0)
+
+
 PUDDLE_MOVE = 0.05
 PUDDLE_NOISE_SIGMA = 0.01
 PUDDLE_RADIUS = 0.1
@@ -242,9 +247,6 @@ class PuddleWorld:
         self._steps = 0
         self.done = True
 
-    def _obs(self) -> np.ndarray:
-        return np.array([self._x, self._y])
-
     def reset(self, seed: int) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
         while True:
@@ -254,14 +256,14 @@ class PuddleWorld:
         self._x, self._y = float(x), float(y)
         self._steps = 0
         self.done = False
-        return self._obs()
+        return np.array([self._x, self._y])
 
     def puddle_depth(self, x: float, y: float) -> float:
         depth = 0.0
         for ax, ay, vx, vy, v_sq in _PUDDLE_AXES:
             # distance from (x, y) to the nearest point of segment a + t*v
             t = ((x - ax) * vx + (y - ay) * vy) / v_sq
-            t = min(1.0, max(0.0, t))
+            t = _clip_unit(t)
             d = PUDDLE_RADIUS - math.hypot(x - (ax + t * vx), y - (ay + t * vy))
             if d > depth:
                 depth = d
@@ -273,23 +275,24 @@ class PuddleWorld:
         if not 0 <= action < self.n_actions:
             raise ValueError(f"action must be in [0, {self.n_actions}), got {action}")
         dx, dy = _PUDDLE_MOVES[action]
-        row = self._steps % _PUDDLE_NOISE_BLOCK
+        steps = self._steps
+        row = steps % _PUDDLE_NOISE_BLOCK
         if row == 0:
             assert self._rng is not None
             self._noise = self._rng.normal(
                 0.0, PUDDLE_NOISE_SIGMA, size=(_PUDDLE_NOISE_BLOCK, 2)
             ).tolist()
         nx, ny = self._noise[row]
-        self._x = min(1.0, max(0.0, self._x + dx + nx))
-        self._y = min(1.0, max(0.0, self._y + dy + ny))
-        self._steps += 1
-        if self._x + self._y >= PUDDLE_GOAL_THRESHOLD:
+        x = self._x = _clip_unit(self._x + dx + nx)
+        y = self._y = _clip_unit(self._y + dy + ny)
+        self._steps = steps = steps + 1
+        obs = np.array([x, y])
+        if x + y >= PUDDLE_GOAL_THRESHOLD:
             self.done = True
-            return self._obs(), 0.0, True
-        reward = -1.0 - PUDDLE_PENALTY_SCALE * self.puddle_depth(self._x, self._y)
-        if self._steps >= PUDDLE_EPISODE_CAP:
-            self.done = True
-        return self._obs(), reward, self.done
+            return obs, 0.0, True
+        reward = -1.0 - PUDDLE_PENALTY_SCALE * self.puddle_depth(x, y)
+        done = self.done = steps >= PUDDLE_EPISODE_CAP
+        return obs, reward, done
 
 
 CART_GRAVITY = 9.8
@@ -317,6 +320,17 @@ _CART_THETA_SPAN = CART_THETA_LIMIT - _CART_THETA_LO
 _CART_THETADOT_SPAN = CART_THETADOT_LIMIT - _CART_THETADOT_LO
 
 
+def _cart_obs(x: float, xd: float, th: float, thd: float) -> np.ndarray:
+    return np.array(
+        [
+            _clip_unit((x - _CART_X_LO) / _CART_X_SPAN),
+            _clip_unit((xd - _CART_XDOT_LO) / _CART_XDOT_SPAN),
+            _clip_unit((th - _CART_THETA_LO) / _CART_THETA_SPAN),
+            _clip_unit((thd - _CART_THETADOT_LO) / _CART_THETADOT_SPAN),
+        ]
+    )
+
+
 class CartPole:
     """Classic pole balancing, Euler-integrated, +1 per surviving step.
 
@@ -333,24 +347,13 @@ class CartPole:
         self._steps = 0
         self.done = True
 
-    def _obs(self) -> np.ndarray:
-        x, xd, th, thd = self._s
-        return np.array(
-            [
-                min(1.0, max(0.0, (x - _CART_X_LO) / _CART_X_SPAN)),
-                min(1.0, max(0.0, (xd - _CART_XDOT_LO) / _CART_XDOT_SPAN)),
-                min(1.0, max(0.0, (th - _CART_THETA_LO) / _CART_THETA_SPAN)),
-                min(1.0, max(0.0, (thd - _CART_THETADOT_LO) / _CART_THETADOT_SPAN)),
-            ]
-        )
-
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         start = rng.uniform(-CART_RESET_SPREAD, CART_RESET_SPREAD, size=4)
         self._s = tuple(float(v) for v in start)
         self._steps = 0
         self.done = False
-        return self._obs()
+        return _cart_obs(*self._s)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool]:
         if self.done:
@@ -373,10 +376,10 @@ class CartPole:
         th += CART_DT * thd
         thd += CART_DT * th_acc
         self._s = (x, xd, th, thd)
-        self._steps += 1
+        self._steps = steps = self._steps + 1
+        obs = _cart_obs(x, xd, th, thd)
         if abs(x) > CART_X_LIMIT or abs(th) > CART_THETA_LIMIT:
             self.done = True
-            return self._obs(), 0.0, True
-        if self._steps >= CART_EPISODE_CAP:
-            self.done = True
-        return self._obs(), 1.0, self.done
+            return obs, 0.0, True
+        done = self.done = steps >= CART_EPISODE_CAP
+        return obs, 1.0, done

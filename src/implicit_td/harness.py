@@ -13,6 +13,7 @@ template built from its field types (see _csv_schema).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -559,7 +560,7 @@ def run_cell(
         n_actions=env.n_actions,
         epsilon=config.epsilon,
         variant=variant,
-        featurize=lambda obs: fourier_features(basis, obs),
+        featurize=functools.partial(fourier_features, basis),  # no lambda frame per step
     )
     steps_done = 0
     episode_idx = 0
@@ -731,7 +732,11 @@ def stability_audit_run(
     sample_every: int,
     out_path: str | Path | None = None,
 ) -> tuple[SweepResult, list[AuditRow]]:
-    """Run one cell, auditing every sample_every-th applied transition."""
+    """Run one cell, auditing every sample_every-th applied transition.
+
+    An alpha0 whose audit values overflow float64 is a ConfigError when the
+    rows are to be written; out_path is then left unwritten.
+    """
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     gamma = config.gamma
@@ -754,7 +759,13 @@ def stability_audit_run(
 
     result = run_cell(config, alpha0, seed_idx, on_step=hook)
     if out_path is not None:
-        write_audit_csv(rows, out_path)
+        try:
+            write_audit_csv(rows, out_path)
+        except ValueError as err:  # the refusal of a non-finite value
+            raise ConfigError(
+                f"alpha0 {alpha0!r} is too large to audit: its closed forms "
+                f"overflow float64 ({err})"
+            ) from None
     return result, rows
 
 

@@ -28,7 +28,8 @@ rows stepping in lockstep, reward and alpha are (B, 1) columns and the inner
 products are np.vecdot over the rows, which makes the same ddot call once
 per row. So each row of a stack comes out bit for bit as its own 1-D call.
 
-Divergence contract: each candidate's max-abs folds into the learner's
+Divergence contract, applied inside the one checked step (_td_step) that
+both wrappers call: each candidate's max-abs folds into the learner's
 running record (fold_max_abs). A non-finite candidate is rejected, leaving
 the state otherwise untouched. `diverged` is derived: the record exceeds
 DIVERGENCE_THRESHOLD. A diverged learner ignores further steps.
@@ -82,23 +83,6 @@ def make_learner(k: int, disc: DiscountSpec) -> TdLearnerState:
     return TdLearnerState(weights=np.zeros(k), trace=np.zeros(k), disc=disc)
 
 
-def _commit(
-    state: TdLearnerState, terminal: bool, e: np.ndarray, w_new: np.ndarray
-) -> None:
-    """Apply the candidate w_new under the divergence contract.
-
-    One reduction serves the finiteness check and the record: max propagates
-    NaN and +-inf, so the max-abs of w_new is finite exactly when every
-    entry is.
-    """
-    max_abs = float(np.abs(w_new).max())
-    if math.isfinite(max_abs):
-        state.weights = w_new
-        state.trace = np.zeros_like(e) if terminal else e
-        state.step_count += 1
-    state.max_abs = fold_max_abs(state.max_abs, max_abs)
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Inner product of matching rows: a float for (k,) rows, a (B, 1)
     column for (B, k) stacks. Either way BLAS ddot runs once per row."""
@@ -149,23 +133,30 @@ def _td_step(
     kernel: Callable[..., np.ndarray], state: TdLearnerState, tr: Transition,
     alpha: float, e: np.ndarray | None,
 ) -> None:
-    """Check the inputs, build the fresh trace unless the caller passed it,
-    and commit the kernel's w' under the divergence contract."""
+    """Check the inputs, build the fresh trace unless given, and apply the
+    kernel's w' under the divergence contract: w' has a finite max-abs exactly
+    when every entry is finite (np.maximum.reduce, which .max wraps, keeps NaN)."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
         return
-    check_same_length(state.weights, tr.phi_t)
+    phi = tr.phi_t
+    check_same_length(state.weights, phi)
     disc = state.disc
     if e is None:
-        e = update_trace(state.trace, tr.phi_t, disc)
+        e = update_trace(state.trace, phi, disc)
     else:
-        check_same_length(e, tr.phi_t)
+        check_same_length(e, phi)
     w_new = kernel(
-        state.weights, state.trace, e, tr.phi_t, tr.phi_next, tr.reward,
+        state.weights, state.trace, e, phi, tr.phi_next, tr.reward,
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
     )
-    _commit(state, tr.terminal, e, w_new)
+    max_abs = float(np.maximum.reduce(np.abs(w_new)))
+    if math.isfinite(max_abs):
+        state.weights = w_new
+        state.trace = np.zeros_like(e) if tr.terminal else e
+        state.step_count += 1
+    state.max_abs = fold_max_abs(state.max_abs, max_abs)
 
 
 def td_step_standard(

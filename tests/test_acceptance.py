@@ -26,6 +26,7 @@ from implicit_td.harness import (
 )
 from implicit_td.learners import (
     TdLearnerState,
+    _td_step,
     implicit_step,
     td_fixed_point_oracle,
     td_step_implicit,
@@ -255,8 +256,9 @@ def test_criterion_6_contraction_dominance_audit():
 
 def test_criterion_7_linear_complexity_contract():
     started = time.perf_counter()
-    # structural review: the update must stay in vector land
-    for fn in (td_step_implicit, implicit_step):
+    # structural review: the update must stay in vector land, in the public
+    # step, the checked step body it calls and the kernel
+    for fn in (td_step_implicit, _td_step, implicit_step):
         source = inspect.getsource(fn)
         for token in ("outer", "eye(", "solve", "inv(", "matmul", "reshape"):
             assert token not in source, f"k x k construction suspected in {fn.__name__}: {token}"

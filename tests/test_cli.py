@@ -176,6 +176,35 @@ def test_audit_subcommand_writes_csv(config_path, tmp_path):
     assert (tmp_path / "audit.csv").read_text().count("\n") >= 2
 
 
+def _audit_config(tmp_path, domain):
+    path = tmp_path / f"{domain}.cfg"
+    path.write_text(
+        f"domain = {domain}\nalgorithm = sarsa_implicit\nalpha0_grid = 0.5\n"
+        "total_steps = 50\neval_window = 25\nn_seeds = 1\n"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("alpha", ["1e160", "1e308"])
+@pytest.mark.parametrize("domain", ["cart_pole", "puddle_world"])
+def test_audit_that_overflows_float64_is_a_config_error(domain, alpha, tmp_path, capsys):
+    # the standard pair's alpha^2 |e|^2 |d|^2 overflows (at 1e308 the
+    # discriminant is inf - inf); the whole cell runs before the CSV refuses
+    out = tmp_path / "out"
+    argv = ["audit", _audit_config(tmp_path, domain), "--alpha", alpha, "--sample-every", "1"]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha0 ") and "overflow" in err
+    assert not (out / "audit.csv").exists()
+
+
+def test_audit_at_a_large_alpha_that_stays_finite_writes_csv(tmp_path):
+    out = tmp_path / "out"
+    argv = ["audit", _audit_config(tmp_path, "cart_pole"), "--alpha", "1e150"]
+    assert cli.main([*argv, "--sample-every", "1", "--out", str(out)]) == 0
+    assert (out / "audit.csv").read_text().count("\n") >= 2
+
+
 def test_fixed_point_subcommand(capsys):
     code = cli.main(
         ["fixed-point", "--states", "3", "--steps", "5000", "--gamma", "0.5"]

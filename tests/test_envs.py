@@ -392,6 +392,18 @@ def test_puddle_seeded_trajectories_identical():
     assert run(123) != run(124)
 
 
+def test_clip_unit_equals_builtin_min_max_bit_for_bit():
+    rng = np.random.default_rng(0)
+    values = [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+        math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1.7976931348623157e308,
+        *rng.uniform(-0.5, 1.5, 200).tolist(),
+    ]
+    for v in values:
+        expected = min(1.0, max(0.0, v))
+        assert envs._clip_unit(v).hex() == expected.hex()
+
+
 def test_puddle_positions_stay_in_unit_square():
     env = PuddleWorld()
     rng = np.random.default_rng(0)
@@ -431,11 +443,11 @@ class _PerStepNoisePuddleWorld(PuddleWorld):
         self._steps += 1
         if self._x + self._y >= envs.PUDDLE_GOAL_THRESHOLD:
             self.done = True
-            return self._obs(), 0.0, True
+            return np.array([self._x, self._y]), 0.0, True
         reward = -1.0 - envs.PUDDLE_PENALTY_SCALE * self.puddle_depth(self._x, self._y)
         if self._steps >= envs.PUDDLE_EPISODE_CAP:
             self.done = True
-        return self._obs(), reward, self.done
+        return np.array([self._x, self._y]), reward, self.done
 
 
 def _puddle_pair(seed):
