@@ -11,7 +11,7 @@ Library layout:
 * harness: config, seeded sweeps, audits, CSV output (CLI: implicit-td)
 """
 
-from .control import EpisodeStats, SarsaAgent, epsilon_greedy, sarsa_episode, stack_features
+from .control import EpisodeStats, epsilon_greedy, sarsa_episode, stack_features
 from .core import DimensionMismatchError, DiscountSpec, Transition, update_trace
 from .envs import (
     CartPole,
@@ -56,7 +56,6 @@ __all__ = [
     "FixedPointReport",
     "FourierBasis",
     "PuddleWorld",
-    "SarsaAgent",
     "StabilityReport",
     "StepSizeSchedule",
     "SweepResult",

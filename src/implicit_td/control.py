@@ -5,11 +5,14 @@ state features of s written into block a of a k*n_actions vector, zeros
 elsewhere, so Q(s, a) = w . stack(phi(s), a) and both TD step rules apply
 unchanged. Exploration is epsilon-greedy with ties broken toward the lowest
 action index.
+
+An episode takes the learner, its schedule, the env, a featurizer, epsilon
+and one `implicit` flag that picks the step rule, as run_td_evaluation does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,37 +22,11 @@ from .envs import DiscreteActionEnv
 from .learners import TdLearnerState, td_step_implicit, td_step_standard
 from .stepsize import StepSizeSchedule, next_alpha, reset_schedule
 
-VARIANTS = ("standard", "implicit")
-
 # hook called after each learner step with (transition, alpha, e): e is the
 # trace the update used, gamma*lambda*(trace before the step) + phi_t. After
 # an applied non-terminal step it is the learner's own trace, so a hook reads
 # it and never writes into it
 StepHook = Callable[[Transition, float, np.ndarray], None]
-
-
-@dataclass(slots=True)
-class SarsaAgent:
-    learner: TdLearnerState
-    schedule: StepSizeSchedule
-    k_state: int
-    n_actions: int
-    epsilon: float = 0.1
-    variant: str = "standard"
-    featurize: Callable[[np.ndarray], np.ndarray] = field(default=lambda obs: obs)
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.n_actions < 1:
-            raise ValueError(f"n_actions must be >= 1, got {self.n_actions}")
-        if self.learner.k != self.k_state * self.n_actions:
-            raise ValueError(
-                f"learner dimension {self.learner.k} != "
-                f"k_state*n_actions = {self.k_state * self.n_actions}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +45,9 @@ def stack_features(phi_s: np.ndarray, action: int, n_actions: int) -> np.ndarray
     return stacked
 
 
-def action_values(agent: SarsaAgent, phi_s: np.ndarray) -> np.ndarray:
+def action_values(weights: np.ndarray, n_actions: int, phi_s: np.ndarray) -> np.ndarray:
     """Q(s, .) for all actions: one matvec against the blocked weight vector."""
-    return agent.learner.weights.reshape(agent.n_actions, agent.k_state).dot(phi_s)
+    return weights.reshape(n_actions, -1).dot(phi_s)
 
 
 def epsilon_greedy(
@@ -86,43 +63,40 @@ def epsilon_greedy(
 
 
 def sarsa_episode(
-    agent: SarsaAgent,
-    env: DiscreteActionEnv,
-    seed: int,
-    max_steps: int | None = None,
-    on_step: StepHook | None = None,
+    learner: TdLearnerState, schedule: StepSizeSchedule, env: DiscreteActionEnv,
+    featurize: Callable[[np.ndarray], np.ndarray], epsilon: float, implicit: bool,
+    seed: int, max_steps: int | None = None, on_step: StepHook | None = None,
 ) -> EpisodeStats:
-    """Run one episode, updating the agent's learner on every transition.
+    """Run one episode, updating the learner on every transition.
 
-    `seed` drives both the environment reset and an independent policy
-    stream. `max_steps` cuts the episode at a step budget without terminal
-    bookkeeping (the trace survives for the caller to inspect); it must be
-    at least 1. The step that makes the learner diverge ends the episode,
-    and a learner that has already diverged takes no step; the caller reads
-    divergence and the max-abs weight from the learner's record.
+    The learner holds one block of featurize(obs)'s size per env action; a
+    learner of another size, or an epsilon outside [0, 1], raises ValueError
+    at the first action choice, before any learner step. `seed` drives both
+    the environment reset and an independent policy stream. `max_steps` cuts
+    the episode at a step budget without terminal bookkeeping (the trace
+    survives for the caller to inspect); it must be at least 1. The step that
+    makes the learner diverge ends the episode, and a learner that has
+    already diverged takes no step; the caller reads divergence and the
+    max-abs weight from the learner's record.
     """
     if max_steps is not None and max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    learner = agent.learner
     if learner.diverged:
         return EpisodeStats(0.0, 0, False)
     rng = np.random.default_rng((seed, 1))
     disc = learner.disc
     gamma = disc.gamma
-    step_fn = td_step_implicit if agent.variant == "implicit" else td_step_standard
-    sched = agent.schedule
-    need_trace = sched.kind == "alpha_bound" or on_step is not None
-    reset_schedule(sched)  # the adaptive bound is episode-scoped, like the trace
+    step_fn = td_step_implicit if implicit else td_step_standard
+    need_trace = schedule.kind == "alpha_bound" or on_step is not None
+    reset_schedule(schedule)  # the adaptive bound is episode-scoped, like the trace
     learner.trace = np.zeros(learner.k)
-    n_actions = agent.n_actions
-    epsilon = agent.epsilon
-    featurize = agent.featurize
+    n_actions = env.n_actions
     zero_next = np.zeros(learner.k)
 
     obs = env.reset(seed)
     env_step = env.step
     phi = featurize(obs)
-    action = epsilon_greedy(action_values(agent, phi), epsilon, rng)
+    action = epsilon_greedy(action_values(learner.weights, n_actions, phi), epsilon, rng)
     sphi = stack_features(phi, action, n_actions)
 
     total = 0.0
@@ -136,14 +110,14 @@ def sarsa_episode(
             sphi_next = zero_next
         else:
             phi = featurize(obs)
-            action = epsilon_greedy(action_values(agent, phi), epsilon, rng)
+            action = epsilon_greedy(action_values(learner.weights, n_actions, phi), epsilon, rng)
             sphi_next = stack_features(phi, action, n_actions)
             tr = Transition(sphi, reward, sphi_next)
 
         # the trace entering the update, built here when alpha_bound or the
         # hook reads it and handed to the step, which otherwise builds it
         e = update_trace(learner.trace, sphi, disc) if need_trace else None
-        alpha = next_alpha(sched, learner.step_count, e, sphi, sphi_next, gamma)
+        alpha = next_alpha(schedule, learner.step_count, e, sphi, sphi_next, gamma)
         step_fn(learner, tr, alpha, e)
         if on_step is not None:
             on_step(tr, alpha, e)

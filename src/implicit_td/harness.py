@@ -26,7 +26,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .control import SarsaAgent, StepHook, sarsa_episode
+from .control import StepHook, sarsa_episode
 from .core import DiscountSpec, Transition
 from .core import update_trace  # not called here; kept for bench/layers.py, which rebinds it
 from .envs import (
@@ -211,6 +211,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not valid UTF-8: {err}") from None
     return parse_config_text(text)
 
 
@@ -519,11 +521,10 @@ def _row_result(
 _ENVS = {"puddle_world": PuddleWorld, "cart_pole": CartPole}
 
 
-def _algorithm_parts(algorithm: str) -> tuple[str, str]:
-    """Map an algorithm name to (learner variant, schedule kind)."""
-    variant = "implicit" if "implicit" in algorithm else "standard"
+def _algorithm_parts(algorithm: str) -> tuple[bool, str]:
+    """Map an algorithm name to (implicit step rule?, schedule kind)."""
     kind = "alpha_bound" if algorithm.endswith("alpha_bound") else "constant"
-    return variant, kind
+    return "implicit" in algorithm, kind
 
 
 def _shared_mrp(config: ExperimentConfig) -> FiniteMrp:
@@ -550,31 +551,24 @@ def run_cell(
         return _td_rows(config, [(alpha0, seed_idx)], on_step)[0]
 
     seed = cell_seed(config.base_seed, alpha0, seed_idx)
-    variant, sched_kind = _algorithm_parts(config.algorithm)
+    implicit, sched_kind = _algorithm_parts(config.algorithm)
     env = _ENVS[config.domain]()
     basis = make_fourier_basis(config.fourier_order, env.obs_dim)
-    agent = SarsaAgent(
-        learner=make_learner(basis.k * env.n_actions, config.disc),
-        schedule=make_schedule(sched_kind, alpha0),
-        k_state=basis.k,
-        n_actions=env.n_actions,
-        epsilon=config.epsilon,
-        variant=variant,
-        featurize=functools.partial(fourier_features, basis),  # no lambda frame per step
-    )
+    learner = make_learner(basis.k * env.n_actions, config.disc)
+    schedule = make_schedule(sched_kind, alpha0)
+    featurize = functools.partial(fourier_features, basis)  # no lambda frame per step
     steps_done = 0
     episode_idx = 0
     finished: list[tuple[int, float]] = []  # (cumulative step at end, return)
     partial_return: float | None = None
-    learner = agent.learner
     # a diverging cell steps on until its weights pass the threshold or go
     # non-finite; that overflow is expected, not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while steps_done < config.total_steps:
             budget = config.total_steps - steps_done
             stats = sarsa_episode(
-                agent, env, episode_seed(seed, episode_idx), max_steps=budget,
-                on_step=on_step,
+                learner, schedule, env, featurize, config.epsilon, implicit,
+                episode_seed(seed, episode_idx), max_steps=budget, on_step=on_step,
             )
             steps_done += stats.steps
             episode_idx += 1
@@ -611,14 +605,14 @@ def _td_rows(
 ) -> list[SweepResult]:
     """Rows of td_* (alpha0, seed index) cells, run in lockstep through
     _evaluate_rows on the sweep's shared MRP; one cell is run_cell's row."""
-    variant, sched_kind = _algorithm_parts(config.algorithm)
+    implicit, sched_kind = _algorithm_parts(config.algorithm)
     results = _evaluate_rows(
         _shared_mrp(config),
         config.disc,
         [make_schedule(sched_kind, alpha0) for alpha0, _ in cells],
         config.total_steps,
         [cell_seed(config.base_seed, alpha0, idx) for alpha0, idx in cells],
-        implicit=(variant == "implicit"),
+        implicit=implicit,
         eval_window=config.eval_window,
         on_step=on_step,
     )
@@ -732,7 +726,8 @@ def stability_audit_run(
     sample_every: int,
     out_path: str | Path | None = None,
 ) -> tuple[SweepResult, list[AuditRow]]:
-    """Run one cell, auditing every sample_every-th applied transition.
+    """Run one cell, auditing every sample_every-th attempted transition
+    (a rejected candidate step counts too).
 
     An alpha0 whose audit values overflow float64 is a ConfigError when the
     rows are to be written; out_path is then left unwritten.

@@ -43,6 +43,19 @@ def test_bad_config_key_is_a_config_error(tmp_path):
     assert cli.main(["sweep", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["sweep"], ["cell", "--alpha", "0.5", "--seed", "0"], ["audit", "--alpha", "0.5"]]
+)
+def test_config_that_is_not_utf8_is_a_config_error(argv, tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+    command, *flags = argv
+    assert cli.main([command, str(path), *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "UTF-8" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_unusable_out_is_a_config_error(config_path, tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

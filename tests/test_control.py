@@ -1,11 +1,12 @@
-"""SARSA(lambda) agent plumbing and episode behavior."""
+"""SARSA(lambda) episode plumbing and behavior."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from implicit_td.control import (
     EpisodeStats,
-    SarsaAgent,
     action_values,
     epsilon_greedy,
     sarsa_episode,
@@ -17,16 +18,17 @@ from implicit_td.learners import NONFINITE_MAX_ABS, make_learner, td_step_standa
 from implicit_td.stepsize import make_schedule
 
 
-def make_agent(k_state, n_actions, variant="standard", kind="constant", alpha0=0.1,
-               epsilon=0.1, gamma=0.99, lam=0.5):
+def make_agent(k_state, n_actions, implicit=False, kind="constant", alpha0=0.1,
+               epsilon=0.1, gamma=0.99, lam=0.5, featurize=lambda obs: obs):
+    """sarsa_episode's keyword arguments other than env, seed and the step
+    budget and hook, for a learner of n_actions blocks of k_state features."""
     disc = DiscountSpec(gamma=gamma, lam=lam)
-    return SarsaAgent(
+    return dict(
         learner=make_learner(k_state * n_actions, disc),
         schedule=make_schedule(kind, alpha0),
-        k_state=k_state,
-        n_actions=n_actions,
+        featurize=featurize,
         epsilon=epsilon,
-        variant=variant,
+        implicit=implicit,
     )
 
 
@@ -41,12 +43,11 @@ def test_stack_features_blocks():
 
 
 def test_action_values_block_decomposition():
-    agent = make_agent(k_state=3, n_actions=2)
-    agent.learner.weights = np.arange(6.0)
+    weights = np.arange(6.0)
     phi = np.array([1.0, -1.0, 2.0])
-    q = action_values(agent, phi)
+    q = action_values(weights, 2, phi)
     for a in range(2):
-        assert q[a] == pytest.approx(float(stack_features(phi, a, 2) @ agent.learner.weights))
+        assert q[a] == pytest.approx(float(stack_features(phi, a, 2) @ weights))
 
 
 def test_epsilon_greedy_pure_greedy_and_ties():
@@ -70,35 +71,31 @@ def test_epsilon_greedy_uniform_at_epsilon_one():
     assert np.all(np.abs(counts - n / 3) < 3 * sigma)
 
 
-def test_agent_validation():
-    with pytest.raises(ValueError):
-        make_agent(2, 2, variant="semi")
-    with pytest.raises(ValueError):
-        make_agent(2, 2, epsilon=1.2)
-    with pytest.raises(ValueError, match="n_actions must be >= 1"):
-        SarsaAgent(
-            learner=make_learner(2, DiscountSpec(gamma=0.9, lam=0.5)),
-            schedule=make_schedule("constant", 0.1),
-            k_state=2,
-            n_actions=0,
-        )
-    with pytest.raises(ValueError):
-        SarsaAgent(
-            learner=make_learner(5, DiscountSpec(gamma=0.9, lam=0.5)),
-            schedule=make_schedule("constant", 0.1),
-            k_state=2,
-            n_actions=2,
-        )
+def test_bad_epsilon_or_misfit_learner_raises_before_any_step():
+    # CartPole observations have 4 entries and the identity featurizer keeps
+    # them, so a learner of 2 * k_state weights fits the env only at
+    # k_state = 4. Either fault raises at the first action choice
+    cases = [(4, 1.2, "epsilon"), (4, -0.1, "epsilon"), (3, 0.1, "not aligned"),
+             (5, 0.1, "not aligned")]
+    for k_state, epsilon, message in cases:
+        agent = make_agent(k_state, 2, epsilon=epsilon)
+        learner = agent["learner"]
+        learner.weights = np.linspace(-1.0, 1.0, learner.k)
+        before = learner.weights.copy()
+        with pytest.raises(ValueError, match=message):
+            sarsa_episode(env=CartPole(), seed=0, **agent)
+        assert np.array_equal(learner.weights, before)
+        assert learner.step_count == 0
+        assert learner.max_abs == 0.0
 
 
 def test_episode_deterministic_per_seed():
     basis = make_fourier_basis(order=2, dims=4)
 
     def run():
-        agent = make_agent(basis.k, 2, alpha0=0.05)
-        agent.featurize = lambda obs: fourier_features(basis, obs)
-        stats = sarsa_episode(agent, CartPole(), seed=7, max_steps=200)
-        return stats, agent.learner.weights.copy()
+        agent = make_agent(basis.k, 2, alpha0=0.05, featurize=partial(fourier_features, basis))
+        stats = sarsa_episode(env=CartPole(), seed=7, max_steps=200, **agent)
+        return stats, agent["learner"].weights.copy()
 
     (s1, w1), (s2, w2) = run(), run()
     assert s1 == s2
@@ -109,18 +106,18 @@ def test_episode_deterministic_per_seed():
 
 def test_diverged_agent_returns_immediately():
     agent = make_agent(4, 2)
-    agent.learner.max_abs = NONFINITE_MAX_ABS
-    before = agent.learner.weights.copy()
-    stats = sarsa_episode(agent, CartPole(), seed=0)
-    assert agent.learner.diverged and stats.steps == 0
-    assert np.array_equal(agent.learner.weights, before)
+    learner = agent["learner"]
+    learner.max_abs = NONFINITE_MAX_ABS
+    before = learner.weights.copy()
+    stats = sarsa_episode(env=CartPole(), seed=0, **agent)
+    assert learner.diverged and stats.steps == 0
+    assert np.array_equal(learner.weights, before)
 
 
 def test_max_steps_budget_cuts_episode():
     basis = make_fourier_basis(order=1, dims=4)
-    agent = make_agent(basis.k, 2, alpha0=0.01)
-    agent.featurize = lambda obs: fourier_features(basis, obs)
-    stats = sarsa_episode(agent, CartPole(), seed=3, max_steps=5)
+    agent = make_agent(basis.k, 2, alpha0=0.01, featurize=partial(fourier_features, basis))
+    stats = sarsa_episode(env=CartPole(), seed=3, max_steps=5, **agent)
     assert stats.steps == 5
     assert not stats.terminated
 
@@ -128,11 +125,12 @@ def test_max_steps_budget_cuts_episode():
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_max_steps_below_one_is_rejected(max_steps):
     agent = make_agent(4, 2)
-    before = agent.learner.weights.copy()
+    learner = agent["learner"]
+    before = learner.weights.copy()
     with pytest.raises(ValueError, match="max_steps"):
-        sarsa_episode(agent, CartPole(), seed=0, max_steps=max_steps)
-    assert np.array_equal(agent.learner.weights, before)
-    assert agent.learner.step_count == 0
+        sarsa_episode(env=CartPole(), seed=0, max_steps=max_steps, **agent)
+    assert np.array_equal(learner.weights, before)
+    assert learner.step_count == 0
 
 
 @pytest.mark.parametrize("kind", ["constant", "alpha_bound"])
@@ -154,27 +152,27 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
     monkeypatch.setattr(control, "update_trace", counting)
     monkeypatch.setattr(learners, "update_trace", counting)
     basis = make_fourier_basis(order=1, dims=4)
-    agent = make_agent(basis.k, 2, kind=kind, alpha0=0.5)
-    agent.featurize = lambda obs: fourier_features(basis, obs)
-    disc = agent.learner.disc
-    trace_before = [np.zeros(agent.learner.k)]
+    agent = make_agent(basis.k, 2, kind=kind, alpha0=0.5, featurize=partial(fourier_features, basis))
+    learner = agent["learner"]
+    disc = learner.disc
+    trace_before = [np.zeros(learner.k)]
     steps_before = [0]
     seen, kept = [], []
 
     def hook(tr, alpha, e):
         assert np.array_equal(e, real(trace_before[0], tr.phi_t, disc))
-        applied = agent.learner.step_count == steps_before[0] + 1
+        applied = learner.step_count == steps_before[0] + 1
         if applied and not tr.terminal:
-            assert agent.learner.trace is e
-        trace_before[0] = agent.learner.trace.copy()
-        steps_before[0] = agent.learner.step_count
+            assert learner.trace is e
+        trace_before[0] = learner.trace.copy()
+        steps_before[0] = learner.step_count
         kept.append((e, e.copy()))
         seen.append(tr)
 
-    stats = sarsa_episode(agent, CartPole(), seed=4, on_step=hook)
+    stats = sarsa_episode(env=CartPole(), seed=4, on_step=hook, **agent)
     assert stats.terminated and seen[-1].terminal
     assert len(seen) == stats.steps == len(calls)
-    assert agent.learner.step_count == stats.steps
+    assert learner.step_count == stats.steps
     assert all(e.tobytes() == copy.tobytes() for e, copy in kept)
 
 
@@ -200,14 +198,13 @@ def test_single_action_episode_is_td_evaluation():
     basis = make_fourier_basis(order=1, dims=4)
     disc = DiscountSpec(gamma=0.99, lam=0.5)
     seen = []
-    agent = make_agent(basis.k, 1, alpha0=0.05)
-    agent.featurize = lambda obs: fourier_features(basis, obs)
+    agent = make_agent(basis.k, 1, alpha0=0.05, featurize=partial(fourier_features, basis))
     sarsa_episode(
-        agent,
-        _SinglePolicyEnv(),
+        env=_SinglePolicyEnv(),
         seed=5,
         max_steps=50,
         on_step=lambda tr, alpha, e: seen.append(tr),
+        **agent,
     )
 
     manual = make_learner(basis.k, disc)
@@ -225,7 +222,7 @@ def test_single_action_episode_is_td_evaluation():
         if done:
             break
         phi = phi_next
-    assert np.array_equal(agent.learner.weights, manual.weights)
+    assert np.array_equal(agent["learner"].weights, manual.weights)
     assert len(seen) == 50 or seen[-1].terminal
 
 
@@ -234,17 +231,17 @@ def test_tiny_alpha_gives_identical_action_sequences():
     # stream, so standard and implicit agents act identically
     basis = make_fourier_basis(order=2, dims=4)
 
-    def actions(variant):
-        agent = make_agent(basis.k, 2, variant=variant, alpha0=1e-8)
-        agent.featurize = lambda obs: fourier_features(basis, obs)
+    def actions(implicit):
+        agent = make_agent(basis.k, 2, implicit=implicit, alpha0=1e-8,
+                           featurize=partial(fourier_features, basis))
         acts = []
         sarsa_episode(
-            agent,
-            CartPole(),
+            env=CartPole(),
             seed=11,
             max_steps=100,
             on_step=lambda tr, alpha, e: acts.append(int(np.argmax(np.abs(tr.phi_t)) // basis.k)),
+            **agent,
         )
         return acts
 
-    assert actions("standard") == actions("implicit")
+    assert actions(False) == actions(True)
