@@ -36,7 +36,6 @@ from .core import DimensionMismatchError
 class FourierBasis:
     """All (order+1)^dims cosine features cos(pi * c . s) over [0,1]^dims."""
 
-    order: int
     dims: int
     coefficients: np.ndarray  # shape (k, dims), float for fast matvec
 
@@ -53,7 +52,7 @@ def make_fourier_basis(order: int, dims: int) -> FourierBasis:
     coeffs = np.array(
         list(itertools.product(range(order + 1), repeat=dims)), dtype=np.float64
     )
-    return FourierBasis(order=order, dims=dims, coefficients=coeffs)
+    return FourierBasis(dims=dims, coefficients=coeffs)
 
 
 def fourier_features(basis: FourierBasis, s: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ from .learners import (
     td_step_implicit,  # not called here; kept for bench/layers.py, which rebinds it
     td_step_standard,  # not called here; kept for bench/layers.py, which rebinds it
 )
-from .stability import TransitionGeometry, audit_step
+from .stability import StabilityReport, TransitionGeometry, audit_step
 from .stepsize import StepSizeSchedule, make_schedule, next_alpha
 
 DOMAINS = ("puddle_world", "cart_pole", "random_mrp")
@@ -233,17 +233,16 @@ class SweepResult:
     status: str = "ok"
 
 
-@dataclass(slots=True)
-class AuditRow:
-    step: int
-    beta: float
-    lam_plus: float
-    lam_minus: float
-    lam_im_plus: float
-    lam_im_minus: float
-    sq_norm_standard: float
-    sq_norm_implicit: float
-    ratio: float
+def _sweep_row(
+    config: ExperimentConfig, alpha0: float, seed_idx: int, final_avg: float,
+    max_abs: float, steps: int, status: str = "ok",
+) -> SweepResult:
+    """The sweep.csv row of a cell whose run left the max-abs record max_abs
+    (see learners.fold_max_abs); the record decides diverged."""
+    return SweepResult(
+        config.domain, config.algorithm, alpha0, seed_idx, final_avg,
+        max_abs > DIVERGENCE_THRESHOLD, max_abs, steps, status,
+    )
 
 
 # '%' conversion of each CSV field type; a bool goes in as the text true/false
@@ -286,7 +285,14 @@ def _csv_schema(row_type: type) -> tuple[str, Callable[[object], str]]:
 
 
 SWEEP_HEADER, format_sweep_row = _csv_schema(SweepResult)
-AUDIT_HEADER, _format_audit_row = _csv_schema(AuditRow)
+_REPORT_HEADER, _format_report = _csv_schema(StabilityReport)
+# an audit.csv row is a (step, StabilityReport) pair
+AUDIT_HEADER = "step," + _REPORT_HEADER
+
+
+def _format_audit_row(row: tuple[int, StabilityReport]) -> str:
+    step, report = row
+    return f"{step},{_format_report(report)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,15 +302,9 @@ class TdEvalResult:
     max_weight_abs: float  # the run's max-abs record (see learners.fold_max_abs)
     mean_reward_last_window: float
 
-    @property
-    def diverged(self) -> bool:
-        return self.max_weight_abs > DIVERGENCE_THRESHOLD
-
 
 @dataclass(frozen=True, slots=True)
 class FixedPointReport:
-    n_states: int
-    seed: int
     w_star: np.ndarray
     err_standard: float
     err_implicit: float
@@ -588,16 +588,7 @@ def run_cell(
         final_avg = partial_return
     else:
         final_avg = 0.0
-    return SweepResult(
-        domain=config.domain,
-        algorithm=config.algorithm,
-        alpha0=alpha0,
-        seed=seed_idx,
-        final_avg_reward=final_avg,
-        diverged=learner.diverged,
-        max_weight_norm=learner.max_abs,
-        steps_completed=steps_done,
-    )
+    return _sweep_row(config, alpha0, seed_idx, final_avg, learner.max_abs, steps_done)
 
 
 def _td_rows(
@@ -617,15 +608,9 @@ def _td_rows(
         on_step=on_step,
     )
     return [
-        SweepResult(
-            domain=config.domain,
-            algorithm=config.algorithm,
-            alpha0=alpha0,
-            seed=idx,
-            final_avg_reward=result.mean_reward_last_window,
-            diverged=result.diverged,
-            max_weight_norm=result.max_weight_abs,
-            steps_completed=result.steps_completed,
+        _sweep_row(
+            config, alpha0, idx, result.mean_reward_last_window,
+            result.max_weight_abs, result.steps_completed,
         )
         for (alpha0, idx), result in zip(cells, results)
     ]
@@ -642,17 +627,7 @@ def _cell_worker(config: ExperimentConfig, alpha0: float, seed_idx: int) -> Swee
             file=sys.stderr,
         )
         traceback.print_exc(file=sys.stderr)
-        return SweepResult(
-            domain=config.domain,
-            algorithm=config.algorithm,
-            alpha0=alpha0,
-            seed=seed_idx,
-            final_avg_reward=0.0,
-            diverged=False,
-            max_weight_norm=0.0,
-            steps_completed=0,
-            status=f"error:{type(err).__name__}",
-        )
+        return _sweep_row(config, alpha0, seed_idx, 0.0, 0.0, 0, f"error:{type(err).__name__}")
 
 
 def _batch_worker(
@@ -674,6 +649,18 @@ def _batch_worker(
                 file=sys.stderr,
             )
     return [_cell_worker(config, alpha0, idx) for alpha0, idx in cells]
+
+
+def _process_pool(workers: int):
+    """A pool that forks its workers wherever the platform can, whatever the
+    default start method: once shut down, it leaves no fork server or
+    resource tracker running. Imported at call time, as few calls need it."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork") if fork else None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def run_sweep(
@@ -709,9 +696,7 @@ def run_sweep(
     if workers <= 1:
         results = [row for batch in batches for row in _batch_worker(batch)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             results = [row for rows in pool.map(_batch_worker, batches) for row in rows]
         results.sort(key=attrgetter("alpha0", "seed"))
     if out_path is not None:
@@ -725,9 +710,10 @@ def stability_audit_run(
     seed_idx: int,
     sample_every: int,
     out_path: str | Path | None = None,
-) -> tuple[SweepResult, list[AuditRow]]:
+) -> tuple[SweepResult, list[tuple[int, StabilityReport]]]:
     """Run one cell, auditing every sample_every-th attempted transition
-    (a rejected candidate step counts too).
+    (a rejected candidate step counts too) into one audit.csv row: a (step,
+    StabilityReport) pair, step counting attempted transitions from 1.
 
     An alpha0 whose audit values overflow float64 is a ConfigError when the
     rows are to be written; out_path is then left unwritten.
@@ -735,7 +721,7 @@ def stability_audit_run(
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     gamma = config.gamma
-    rows: list[AuditRow] = []
+    rows: list[tuple[int, StabilityReport]] = []
     count = 0
 
     def hook(tr: Transition, alpha: float, e_used: np.ndarray) -> None:
@@ -743,14 +729,8 @@ def stability_audit_run(
         count += 1
         if count % sample_every:
             return
-        r = audit_step(TransitionGeometry(e_used, tr.phi_t - gamma * tr.phi_next, alpha))
-        rows.append(
-            AuditRow(
-                count, r.beta, r.lam_plus, r.lam_minus, r.lam_im_plus, r.lam_im_minus,
-                r.sq_norm_standard, r.sq_norm_implicit,
-                r.sq_norm_implicit / r.sq_norm_standard,
-            )
-        )
+        geometry = TransitionGeometry(e_used, tr.phi_t - gamma * tr.phi_next, alpha)
+        rows.append((count, audit_step(geometry)))
 
     result = run_cell(config, alpha0, seed_idx, on_step=hook)
     if out_path is not None:
@@ -808,24 +788,20 @@ def fixed_point_check(
     eval_window=1 and each holds at most two blocks of states at a time.
 
     The two runs share nothing, so they run at the same time: the standard
-    learner in the one worker of a process pool started at call time with
-    the platform's default start method (fork on Linux), and the implicit
-    learner, whose steps cost more, in this process. The pool is shut down
-    before the function returns or raises. The report equals, bit for bit,
-    one built from the two runs made one after the other in this process.
+    learner in the one worker of a process pool started at call time (see
+    _process_pool), and the implicit learner, whose steps cost more, in this
+    process. The pool is shut down before the function returns or raises.
+    The report equals, bit for bit, one built from the two runs made one
+    after the other in this process.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     mrp = random_chain_mrp(n_states, mix64(seed))
     w_star = td_fixed_point_oracle(mrp, disc)
     leg = (mrp, disc, steps, mix64(seed ^ 1), w_star, target_tol)
-    with ProcessPoolExecutor(max_workers=1) as pool:
+    with _process_pool(1) as pool:
         standard_future = pool.submit(_fixed_point_leg, *leg, implicit=False)
         implicit_run = _fixed_point_leg(*leg, implicit=True)
         standard_run = standard_future.result()
     return FixedPointReport(
-        n_states=n_states,
-        seed=seed,
         w_star=w_star,
         err_standard=float(np.max(np.abs(standard_run.weights - w_star))),
         err_implicit=float(np.max(np.abs(implicit_run.weights - w_star))),
@@ -850,5 +826,5 @@ def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:
     _write_csv(SWEEP_HEADER, format_sweep_row, results, path)
 
 
-def write_audit_csv(rows: list[AuditRow], path: str | Path) -> None:
+def write_audit_csv(rows: list[tuple[int, StabilityReport]], path: str | Path) -> None:
     _write_csv(AUDIT_HEADER, _format_audit_row, rows, path)

@@ -72,7 +72,7 @@ class TransitionGeometry:
 
 @dataclass(slots=True)
 class StabilityReport:
-    """Eigenvalue pairs and squared spectral norms for one transition."""
+    """Eigenvalue pairs, squared spectral norms and their ratio for one transition."""
 
     beta: float
     lam_plus: float
@@ -81,6 +81,7 @@ class StabilityReport:
     lam_im_minus: float
     sq_norm_standard: float
     sq_norm_implicit: float
+    ratio: float
 
 
 def _gram_eig_pair(
@@ -101,7 +102,7 @@ def _gram_eig_pair(
 
 
 def audit_step(g: TransitionGeometry) -> StabilityReport:
-    """Evaluate both closed-form pairs plus the squared norms for one step.
+    """Evaluate both closed-form pairs, the squared norms and their ratio for one step.
 
     Reads e.e, d.d and e.d from the geometry and takes beta = 1 / (1 +
     alpha ||e||^2) and |e||d| once each; the implicit pair is the standard
@@ -114,7 +115,8 @@ def audit_step(g: TransitionGeometry) -> StabilityReport:
     lam_im_plus, lam_im_minus = _gram_eig_pair(
         g.alpha * beta, e_norm_sq, d_norm_sq, e_dot_d, ed_norm
     )
+    sq_norm_standard, sq_norm_implicit = max(lam_plus, 1.0), max(lam_im_plus, 1.0)
     return StabilityReport(
         beta, lam_plus, lam_minus, lam_im_plus, lam_im_minus,
-        max(lam_plus, 1.0), max(lam_im_plus, 1.0),
+        sq_norm_standard, sq_norm_implicit, sq_norm_implicit / sq_norm_standard,
     )

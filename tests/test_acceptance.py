@@ -237,7 +237,7 @@ def test_criterion_6_contraction_dominance_audit():
     shrink_violations = 0
     dominance_violations = 0
     aligned = 0
-    for row, (e, d, alpha) in zip(rows, geoms):
+    for (_, row), (e, d, alpha) in zip(rows, geoms):
         report = audit_step(TransitionGeometry(e=e, d=d, alpha=alpha))
         assert report.sq_norm_implicit == row.sq_norm_implicit
         assert report.sq_norm_standard == row.sq_norm_standard

@@ -5,6 +5,9 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -22,7 +25,6 @@ from implicit_td.harness import (
     AUDIT_HEADER,
     CHECK_EVERY,
     SWEEP_HEADER,
-    AuditRow,
     ConfigError,
     ExperimentConfig,
     cell_seed,
@@ -40,6 +42,7 @@ from implicit_td.harness import (
     write_sweep_csv,
 )
 from implicit_td.learners import DIVERGENCE_THRESHOLD, NONFINITE_MAX_ABS, td_fixed_point_oracle
+from implicit_td.stability import StabilityReport
 from implicit_td.stepsize import make_schedule
 
 SARSA_KW = dict(domain="cart_pole", algorithm="sarsa_implicit")
@@ -317,7 +320,7 @@ def test_format_row_uses_repr_floats_and_lowercase_bools():
 
 
 def test_audit_row_formats_every_float_by_repr(tmp_path):
-    row = AuditRow(7, 0.5, 1e-300, -0.0, 1.0, 2.5e300, 1.0, 1.0 / 3.0, 1.0 / 3.0)
+    row = (7, StabilityReport(0.5, 1e-300, -0.0, 1.0, 2.5e300, 1.0, 1.0 / 3.0, 1.0 / 3.0))
     out = tmp_path / "audit.csv"
     write_audit_csv([row], out)
     assert out.read_bytes() == (
@@ -328,31 +331,35 @@ def test_audit_row_formats_every_float_by_repr(tmp_path):
 
 def test_csv_refuses_nonfinite(tmp_path):
     sweep_row = run_cell(tiny_config(total_steps=50, eval_window=25), 0.25, 0)
-    audit_row = AuditRow(1, 0.5, 1.0, 0.5, 1.0, 0.25, 1.0, 1.0, 1.0)
+    report = StabilityReport(0.5, 1.0, 0.5, 1.0, 0.25, 1.0, 1.0, 1.0)
     out = tmp_path / "bad.csv"
-    for write, fmt, row in [
-        (write_sweep_csv, format_sweep_row, sweep_row),
-        (write_audit_csv, harness._format_audit_row, audit_row),
+    # an audit.csv row is a (step, StabilityReport) pair
+    for write, fmt, record, as_row in [
+        (write_sweep_csv, format_sweep_row, sweep_row, lambda r: r),
+        (write_audit_csv, harness._format_audit_row, report, lambda r: (1, r)),
     ]:
-        float_fields = [f.name for f in dataclasses.fields(row) if f.type in (float, "float")]
+        float_fields = [
+            f.name for f in dataclasses.fields(record) if f.type in (float, "float")
+        ]
+        row = as_row(record)
         # finite floats whose sum overflows to +inf or -inf still write
-        rows = [row]
+        records = [record]
         for huge in (1e308, -1e308):
-            big = dataclasses.replace(row, **dict.fromkeys(float_fields, huge))
-            write([row, big], out)
-            assert out.read_text().splitlines()[-1] == fmt(big)
+            big = dataclasses.replace(record, **dict.fromkeys(float_fields, huge))
+            write([row, as_row(big)], out)
+            assert out.read_text().splitlines()[-1] == fmt(as_row(big))
             out.unlink()
-            rows.append(big)
+            records.append(big)
         # a non-finite value in any float field is refused, also next to
         # finite values whose sum overflows
         for base, field, value in itertools.product(
-            rows, float_fields, (math.nan, math.inf, -math.inf)
+            records, float_fields, (math.nan, math.inf, -math.inf)
         ):
             bad = dataclasses.replace(base, **{field: value})
             with pytest.raises(
                 ValueError, match=f"refusing to write non-finite CSV value {value}"
             ):
-                write([row, bad], out)
+                write([row, as_row(bad)], out)
             assert not out.exists()
 
 
@@ -382,8 +389,8 @@ def test_td_eval_hook_only_observes(alpha0, diverges):
     plain, hooked = runs
     assert np.array_equal(plain.weights, hooked.weights, equal_nan=True)
     assert plain.steps_completed == hooked.steps_completed == len(calls)
-    assert plain.diverged == hooked.diverged == diverges
     assert plain.max_weight_abs == hooked.max_weight_abs
+    assert (plain.max_weight_abs > DIVERGENCE_THRESHOLD) == diverges
     # standard TD's first divergence here is at step 747 (alpha0 1.5) or earlier;
     # the run stops at the next check
     assert plain.steps_completed == (1000 if diverges else 4000)
@@ -395,7 +402,7 @@ def test_td_eval_diverged_is_read_from_the_max_abs_record(alpha0, max_abs):
         random_chain_mrp(5, seed=9), DiscountSpec(gamma=0.9, lam=0.5),
         make_schedule("constant", alpha0), 4000, seed=3, implicit=False,
     )
-    assert res.diverged == (res.max_weight_abs > DIVERGENCE_THRESHOLD) == (alpha0 > 1.0)
+    assert (res.max_weight_abs > DIVERGENCE_THRESHOLD) == (alpha0 > 1.0)
     if max_abs is not None:  # the weights went non-finite
         assert not np.isfinite(res.weights).all()
         assert res.max_weight_abs == max_abs
@@ -522,7 +529,7 @@ def test_td_eval_window_mean_equals_a_path_drawn_up_front(case, window):
         target_tol=target_tol,
     )
     assert res.steps_completed == steps
-    assert res.diverged == (case == "diverging")
+    assert (res.max_weight_abs > DIVERGENCE_THRESHOLD) == (case == "diverging")
     assert res.mean_reward_last_window == window_mean_up_front(
         mrp, 3, ORACLE_STEPS, steps, window
     )
@@ -582,7 +589,7 @@ class _RecordingPool:
     created: list[int] = []
     mapped: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.created.append(max_workers)
 
     def __enter__(self):
@@ -790,10 +797,14 @@ def cells_and_batches(draw):
 @given(cells_and_batches())
 def test_a_row_depends_only_on_its_config_alpha0_and_seed_index(drawn):
     config, batches = drawn
-    line = {
-        (a, i): format_sweep_row(run_cell(config, a, i))
+    cells = {
+        (a, i): run_cell(config, a, i)
         for a in config.alpha0_grid for i in range(config.n_seeds)
     }
+    for row in cells.values():
+        # a row's verdict is read from its own max-abs record
+        assert row.diverged == (row.max_weight_norm > DIVERGENCE_THRESHOLD)
+    line = {cell: format_sweep_row(row) for cell, row in cells.items()}
     for batch in batches:
         if config.algorithm.startswith("td_"):
             rows = harness._td_rows(config, batch)
@@ -821,11 +832,11 @@ def test_audit_rows_schema_and_ratio(tmp_path):
     out = tmp_path / "audit.csv"
     result, rows = stability_audit_run(cfg, 0.5, 0, sample_every=50, out_path=out)
     assert len(rows) >= 4
-    for row in rows:
-        assert 0.0 < row.beta <= 1.0
-        assert row.sq_norm_implicit >= 1.0 and row.sq_norm_standard >= 1.0
-        assert row.ratio == pytest.approx(row.sq_norm_implicit / row.sq_norm_standard)
-        assert row.step % 50 == 0
+    for step, report in rows:
+        assert 0.0 < report.beta <= 1.0
+        assert report.sq_norm_implicit >= 1.0 and report.sq_norm_standard >= 1.0
+        assert report.ratio == pytest.approx(report.sq_norm_implicit / report.sq_norm_standard)
+        assert step % 50 == 0
     lines = out.read_text().splitlines()
     assert lines[0] == AUDIT_HEADER
     assert len(lines) == len(rows) + 1
@@ -876,7 +887,7 @@ def test_audit_finds_expanding_standard_steps_on_puddle():
     _, rows = stability_audit_run(cfg, 1.0, 0, sample_every=1)
     assert any(
         r.sq_norm_standard > 1.0 and r.sq_norm_implicit <= r.sq_norm_standard
-        for r in rows
+        for _, r in rows
     )
 
 
@@ -926,7 +937,6 @@ def test_fixed_point_check_equals_two_in_process_runs(case):
         )
         for implicit in (False, True)
     }
-    assert report.n_states == n_states and report.seed == seed
     assert report.w_star.dtype == w_star.dtype
     assert report.w_star.tobytes() == w_star.tobytes()
     for implicit, err, done in (
@@ -964,6 +974,54 @@ def test_fixed_point_check_leaves_no_process_behind():
         fixed_point_check(5, 0, disc, -1)
     assert multiprocessing.active_children() == []
     assert _child_pids() == set()
+
+
+# runs one pool call, named by its argument, in a process whose default start
+# method is forkserver, then prints the process's live children
+POOL_SCRIPT = """
+import multiprocessing
+import sys
+from pathlib import Path
+
+from implicit_td import harness
+from implicit_td.core import DiscountSpec
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    if sys.argv[1] == "fixed_point_check":
+        harness.fixed_point_check(5, 0, DiscountSpec(gamma=0.8, lam=0.5), 3_000)
+    else:
+        harness.os.cpu_count = lambda: 2
+        config = harness.ExperimentConfig(
+            domain="cart_pole", algorithm="sarsa_implicit", alpha0_grid=(0.25, 1.0),
+            total_steps=50, n_seeds=1, eval_window=25,
+        )
+        harness.run_sweep(config, parallelism=2)
+    print(sorted(
+        int(pid)
+        for path in Path("/proc/self/task").glob("*/children")
+        for pid in path.read_text().split()
+    ))
+"""
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods()
+    or not list(Path("/proc/self/task").glob("*/children")),
+    reason="needs the forkserver start method and Linux's /proc children lists",
+)
+@pytest.mark.parametrize("call", ["fixed_point_check", "run_sweep"])
+def test_pools_leave_no_process_under_the_forkserver_start_method(tmp_path, call):
+    # forkserver is Linux's default from Python 3.14; a pool started by it
+    # leaves the fork server and a resource tracker running after the call
+    script = tmp_path / "pool_call.py"
+    script.write_text(POOL_SCRIPT)
+    path = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, str(script), call], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_fixed_point_check_converges_on_easy_chain():

@@ -267,7 +267,8 @@ def audit_step_from_dots(alpha, e_norm_sq, d_norm_sq, e_dot_d):
     ed_norm = math.sqrt(e_norm_sq * d_norm_sq)
     lp, lm = _gram_eig_pair(alpha, e_norm_sq, d_norm_sq, e_dot_d, ed_norm)
     lip, lim = _gram_eig_pair(alpha * beta, e_norm_sq, d_norm_sq, e_dot_d, ed_norm)
-    return StabilityReport(beta, lp, lm, lip, lim, max(lp, 1.0), max(lip, 1.0))
+    sq_std, sq_im = max(lp, 1.0), max(lip, 1.0)
+    return StabilityReport(beta, lp, lm, lip, lim, sq_std, sq_im, sq_im / sq_std)
 
 
 @pytest.mark.parametrize("k", [2, 64, 512])
