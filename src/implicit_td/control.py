@@ -24,8 +24,8 @@ from .stepsize import StepSizeSchedule, next_alpha, reset_schedule
 
 # hook called after each learner step with (transition, alpha, e): e is the
 # trace the update used, gamma*lambda*(trace before the step) + phi_t. After
-# an applied non-terminal step it is the learner's own trace, so a hook reads
-# it and never writes into it
+# an applied step it is the learner's own trace, so a hook reads it and never
+# writes into it
 StepHook = Callable[[Transition, float, np.ndarray], None]
 
 
@@ -87,9 +87,8 @@ def sarsa_episode(
     disc = learner.disc
     gamma = disc.gamma
     step_fn = td_step_implicit if implicit else td_step_standard
-    need_trace = schedule.kind == "alpha_bound" or on_step is not None
     reset_schedule(schedule)  # the adaptive bound is episode-scoped, like the trace
-    learner.trace = np.zeros(learner.k)
+    learner.trace = np.zeros(learner.k)  # the one reset: a terminal step keeps its e
     n_actions = env.n_actions
     zero_next = np.zeros(learner.k)
 
@@ -114,9 +113,8 @@ def sarsa_episode(
             sphi_next = stack_features(phi, action, n_actions)
             tr = Transition(sphi, reward, sphi_next)
 
-        # the trace entering the update, built here when alpha_bound or the
-        # hook reads it and handed to the step, which otherwise builds it
-        e = update_trace(learner.trace, sphi, disc) if need_trace else None
+        # the trace entering the update, built once for next_alpha, step and hook
+        e = update_trace(learner.trace, sphi, disc)
         alpha = next_alpha(schedule, learner.step_count, e, sphi, sphi_next, gamma)
         step_fn(learner, tr, alpha, e)
         if on_step is not None:

@@ -208,7 +208,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     except UnicodeDecodeError as err:
@@ -736,6 +736,8 @@ def stability_audit_run(
     if out_path is not None:
         try:
             write_audit_csv(rows, out_path)
+        except ConfigError:  # an unwritable path, reported as it is
+            raise
         except ValueError as err:  # the refusal of a non-finite value
             raise ConfigError(
                 f"alpha0 {alpha0!r} is too large to audit: its closed forms "
@@ -819,7 +821,10 @@ def _write_csv(
 ) -> None:
     lines = [header]
     lines.extend(map(format_row, rows))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    try:
+        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from None
 
 
 def write_sweep_csv(results: list[SweepResult], path: str | Path) -> None:

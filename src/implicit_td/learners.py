@@ -11,15 +11,14 @@ lambda * e_prev + phi and the kernel takes it, then applies its rule:
 The standard step takes two inner products (phi'.w, phi.w); the implicit
 step takes four (phi'.w, e_prev.w, e.e, e.u) and one scalar divide for the
 rank-one inverse, never a k x k matrix, so both steps cost O(k).
-Terminal transitions zero the bootstrap term and reset the trace after the
-update.
+Terminal transitions zero the bootstrap term. The episode driver builds e
+once per step and zeroes the trace at episode starts; a step does neither.
 
 Each rule is written once, as an array-level kernel (standard_step,
 implicit_step). The TD-evaluation driver calls the kernels directly;
 td_step_standard and td_step_implicit wrap them with input checks and the
-divergence contract below, mutate the learner and return None. They take
-the fresh trace from a caller that has already built it (SARSA, when its
-step size or hook reads it) and build it with update_trace otherwise.
+divergence contract below, mutate the learner and return None. They apply
+the fresh trace e the caller hands them, which an accepted step stores.
 
 Both kernels are rank-polymorphic. On one (k,) row, reward and alpha are
 floats and every inner product is an ndarray.dot call, which reaches BLAS
@@ -43,7 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DiscountSpec, Transition, check_same_length, update_trace
+from .core import DiscountSpec, Transition, check_same_length
+from .core import update_trace  # not called here; kept for bench/layers.py, which rebinds it
 from .envs import FiniteMrp, stationary_distribution
 
 DIVERGENCE_THRESHOLD = 1e8
@@ -131,22 +131,19 @@ def implicit_step(
 
 def _td_step(
     kernel: Callable[..., np.ndarray], state: TdLearnerState, tr: Transition,
-    alpha: float, e: np.ndarray | None,
+    alpha: float, e: np.ndarray,
 ) -> None:
-    """Check the inputs, build the fresh trace unless given, and apply the
-    kernel's w' under the divergence contract: w' has a finite max-abs exactly
-    when every entry is finite (np.maximum.reduce, which .max wraps, keeps NaN)."""
+    """Check the inputs and apply the kernel's w' under the divergence
+    contract: w' has a finite max-abs exactly when every entry is finite
+    (np.maximum.reduce, which .max wraps, keeps NaN)."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
         return
     phi = tr.phi_t
     check_same_length(state.weights, phi)
+    check_same_length(e, phi)
     disc = state.disc
-    if e is None:
-        e = update_trace(state.trace, phi, disc)
-    else:
-        check_same_length(e, phi)
     w_new = kernel(
         state.weights, state.trace, e, phi, tr.phi_next, tr.reward,
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
@@ -154,22 +151,21 @@ def _td_step(
     max_abs = float(np.maximum.reduce(np.abs(w_new)))
     if math.isfinite(max_abs):
         state.weights = w_new
-        state.trace = np.zeros_like(e) if tr.terminal else e
+        state.trace = e
         state.step_count += 1
     state.max_abs = fold_max_abs(state.max_abs, max_abs)
 
 
 def td_step_standard(
-    state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray | None = None
+    state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray
 ) -> None:
-    """One accumulating-trace TD(lambda) step; mutates `state`. `e`, when
-    given, must be update_trace(state.trace, tr.phi_t, state.disc), which
-    the step then does not rebuild."""
+    """One accumulating-trace TD(lambda) step; mutates `state`. `e` is the
+    caller's update_trace(state.trace, tr.phi_t, state.disc), kept if accepted."""
     _td_step(standard_step, state, tr, alpha, e)
 
 
 def td_step_implicit(
-    state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray | None = None
+    state: TdLearnerState, tr: Transition, alpha: float, e: np.ndarray
 ) -> None:
     """One implicit TD(lambda) step (see implicit_step); mutates `state`.
     `e` is as td_step_standard takes it."""

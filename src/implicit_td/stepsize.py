@@ -54,7 +54,7 @@ def reset_schedule(sched: StepSizeSchedule) -> None:
 def next_alpha(
     sched: StepSizeSchedule,
     step_count: int,
-    e: np.ndarray | None,
+    e: np.ndarray,
     phi_t: np.ndarray,
     phi_next: np.ndarray,
     gamma: float,
@@ -64,7 +64,7 @@ def next_alpha(
     ``e`` must be the trace entering the update (the post-decay e_t), since
     the alpha_bound curvature test e.(gamma*phi_next - phi_t) is taken
     against the direction the update will actually move in. Only
-    alpha_bound reads it; the other kinds take None.
+    alpha_bound reads it.
 
     For alpha_bound the returned value is the bound in force *before* this
     transition is folded in: the cap a transition generates applies from the

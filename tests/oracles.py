@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +42,15 @@ def td_step_implicit_oracle(
     lhs = np.eye(k) + alpha * np.outer(e, e)
     rhs = w + (alpha * bracket) * e
     return np.linalg.solve(lhs, rhs)
+
+
+def step_with_fresh_trace(
+    step: Callable[[TdLearnerState, Transition, float, np.ndarray], None],
+    state: TdLearnerState, tr: Transition, alpha: float,
+) -> None:
+    """Apply td_step_standard or td_step_implicit as an episode driver does:
+    with the fresh trace update_trace(state.trace, tr.phi_t, state.disc)."""
+    step(state, tr, alpha, update_trace(state.trace, tr.phi_t, state.disc))
 
 
 def dense_gain_matrix(g: TransitionGeometry, implicit: bool) -> np.ndarray:

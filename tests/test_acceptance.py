@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 
-from implicit_td.core import DiscountSpec, Transition
+from implicit_td.core import DiscountSpec, Transition, update_trace
 from implicit_td.envs import FiniteMrp
 from implicit_td.harness import (
     ExperimentConfig,
@@ -33,7 +33,12 @@ from implicit_td.learners import (
 )
 from implicit_td.stability import TransitionGeometry, audit_step
 from implicit_td.stepsize import make_schedule
-from oracles import dense_gain_matrix, rank_two_eigenvalues, td_step_implicit_oracle
+from oracles import (
+    dense_gain_matrix,
+    rank_two_eigenvalues,
+    step_with_fresh_trace,
+    td_step_implicit_oracle,
+)
 
 
 def test_criterion_1_sherman_morrison_equivalence():
@@ -55,7 +60,7 @@ def test_criterion_1_sherman_morrison_equivalence():
             )
             alpha = float(rng.uniform(1e-3, 5.0))
             want = td_step_implicit_oracle(learner, tr, alpha)
-            td_step_implicit(learner, tr, alpha)
+            step_with_fresh_trace(td_step_implicit, learner, tr, alpha)
             worst = max(worst, float(np.max(np.abs(learner.weights - want))))
     elapsed = time.perf_counter() - started
     print(f"criterion 1: max |closed form - dense solve| = {worst:.3e} "
@@ -272,7 +277,7 @@ def test_criterion_7_linear_complexity_contract():
         phi_t=rng.normal(size=k), reward=1.0, phi_next=rng.normal(size=k)
     )
     tracemalloc.start()
-    td_step_implicit(learner, tr, 0.01)
+    td_step_implicit(learner, tr, 0.01, update_trace(learner.trace, tr.phi_t, disc))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 50 * k * 8  # a k x k float array alone would be k*k*8
@@ -285,7 +290,8 @@ def test_criterion_7_linear_complexity_contract():
                 tr = Transition(
                     phi_t=phis[i], reward=0.01, phi_next=phis[i + 1]
                 )
-                td_step_implicit(learner, tr, 1e-4)
+                e = update_trace(learner.trace, tr.phi_t, disc)
+                td_step_implicit(learner, tr, 1e-4, e)
         return min(timeit.repeat(run, number=1, repeat=30)) / 39
 
     t4096 = step_time(4096)

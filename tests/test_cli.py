@@ -56,6 +56,40 @@ def test_config_that_is_not_utf8_is_a_config_error(argv, tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_config_with_a_utf8_bom_runs_as_without_it(config_path, tmp_path, capsys):
+    # a BOM, as some editors save one, is not part of the first key
+    bom_path = tmp_path / "bom.cfg"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + CONFIG.lstrip().encode())
+    outputs = []
+    for name, path in (("plain", config_path), ("bom", str(bom_path))):
+        out = tmp_path / name
+        argv = ["cell", path, "--alpha", "0.5", "--seed", "0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()[:2]
+        outputs.append((printed, (out / "cell.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep"], "sweep.csv"),
+        (["audit", "--alpha", "0.5"], "audit.csv"),
+        (["cell", "--alpha", "0.5", "--seed", "0"], "cell.csv"),
+    ],
+    ids=["sweep", "audit", "cell"],
+)
+def test_output_file_that_cannot_be_written_is_a_config_error(
+    argv, name, config_path, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory where the CSV file goes
+    command, *flags = argv
+    assert cli.main([command, config_path, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ")
+
+
 def test_unusable_out_is_a_config_error(config_path, tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

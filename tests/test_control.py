@@ -16,6 +16,7 @@ from implicit_td.core import DiscountSpec, Transition
 from implicit_td.envs import CartPole, fourier_features, make_fourier_basis
 from implicit_td.learners import NONFINITE_MAX_ABS, make_learner, td_step_standard
 from implicit_td.stepsize import make_schedule
+from oracles import step_with_fresh_trace
 
 
 def make_agent(k_state, n_actions, implicit=False, kind="constant", alpha0=0.1,
@@ -136,10 +137,11 @@ def test_max_steps_below_one_is_rejected(max_steps):
 @pytest.mark.parametrize("kind", ["constant", "alpha_bound"])
 def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
     # the hook's e is update_trace(trace before the step, phi_t), bit for bit,
-    # and it is the only trace the episode computes per step: sarsa_episode
-    # builds it and the learner step takes it, so after an applied
-    # non-terminal step the learner's trace is that very array. The hook
-    # only observes: no handed-out trace is written into later.
+    # and it is the only trace the episode computes per step, with a hook or
+    # without one: sarsa_episode builds it and the learner step takes it, so
+    # after every applied step, the terminal one included, the learner's
+    # trace is that very array. The step never builds a trace of its own.
+    # The hook only observes: no handed-out trace is written into later.
     from implicit_td import control, learners
 
     calls = []
@@ -149,8 +151,11 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
         calls.append(1)
         return real(e_prev, phi, disc)
 
+    def refusing(e_prev, phi, disc):
+        raise AssertionError("the learner step built a trace")
+
     monkeypatch.setattr(control, "update_trace", counting)
-    monkeypatch.setattr(learners, "update_trace", counting)
+    monkeypatch.setattr(learners, "update_trace", refusing)
     basis = make_fourier_basis(order=1, dims=4)
     agent = make_agent(basis.k, 2, kind=kind, alpha0=0.5, featurize=partial(fourier_features, basis))
     learner = agent["learner"]
@@ -161,8 +166,7 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
 
     def hook(tr, alpha, e):
         assert np.array_equal(e, real(trace_before[0], tr.phi_t, disc))
-        applied = learner.step_count == steps_before[0] + 1
-        if applied and not tr.terminal:
+        if learner.step_count == steps_before[0] + 1:
             assert learner.trace is e
         trace_before[0] = learner.trace.copy()
         steps_before[0] = learner.step_count
@@ -174,6 +178,13 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
     assert len(seen) == stats.steps == len(calls)
     assert learner.step_count == stats.steps
     assert all(e.tobytes() == copy.tobytes() for e, copy in kept)
+
+    # no hook: still exactly one update_trace per step, none in the step
+    calls.clear()
+    stats = sarsa_episode(env=CartPole(), seed=5, **agent)
+    assert stats.terminated
+    assert len(calls) == stats.steps
+    assert learner.step_count == len(seen) + stats.steps
 
 
 class _SinglePolicyEnv:
@@ -218,7 +229,7 @@ def test_single_action_episode_is_td_evaluation():
         else:
             phi_next = fourier_features(basis, obs)
             tr = Transition(phi_t=phi, reward=reward, phi_next=phi_next)
-        td_step_standard(manual, tr, 0.05)
+        step_with_fresh_trace(td_step_standard, manual, tr, 0.05)
         if done:
             break
         phi = phi_next

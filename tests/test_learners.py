@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from implicit_td.control import sarsa_episode
 from implicit_td.core import DiscountSpec, Transition, update_trace
-from implicit_td.envs import FiniteMrp, random_chain_mrp, stationary_distribution
+from implicit_td.envs import CartPole, FiniteMrp, random_chain_mrp, stationary_distribution
 from implicit_td.learners import (
     DIVERGENCE_THRESHOLD,
     NONFINITE_MAX_ABS,
@@ -17,7 +18,8 @@ from implicit_td.learners import (
     td_step_standard,
 )
 from implicit_td.stability import TransitionGeometry
-from oracles import dense_gain_matrix, td_step_implicit_oracle
+from implicit_td.stepsize import make_schedule
+from oracles import dense_gain_matrix, step_with_fresh_trace, td_step_implicit_oracle
 
 
 def learner_at(weights, disc):
@@ -39,7 +41,7 @@ def transition(phi_t, reward, phi_next, terminal=False):
 def test_standard_step_hand_value():
     # k=1: delta = 0.1 + 0.9*0.8*0.5 - 0.5 = -0.04, w' = 0.5 - 0.5*0.04
     learner = learner_at([0.5], DiscountSpec(gamma=0.9, lam=0.0))
-    td_step_standard(learner, transition([1.0], 0.1, [0.8]), alpha=0.5)
+    step_with_fresh_trace(td_step_standard, learner, transition([1.0], 0.1, [0.8]), 0.5)
     assert learner.weights[0] == pytest.approx(0.48)
     # w' - w = alpha * delta * e with e = 1
     assert (learner.weights[0] - 0.5) / 0.5 == pytest.approx(-0.04)
@@ -49,7 +51,7 @@ def test_standard_step_hand_value():
 
 def test_standard_step_zero_features_no_move():
     learner = learner_at([1.0, 2.0], DiscountSpec(gamma=0.9, lam=0.5))
-    td_step_standard(learner, transition([0, 0], 0.0, [0, 0]), alpha=5.0)
+    step_with_fresh_trace(td_step_standard, learner, transition([0, 0], 0.0, [0, 0]), 5.0)
     assert np.array_equal(learner.weights, [1.0, 2.0])
 
 
@@ -58,21 +60,22 @@ def test_zero_weights_zero_reward_invariant_for_both_rules():
         learner = make_learner(3, DiscountSpec(gamma=0.9, lam=0.7))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            step(learner, transition(rng.normal(size=3), 0.0, rng.normal(size=3)), 0.3)
+            tr = transition(rng.normal(size=3), 0.0, rng.normal(size=3))
+            step_with_fresh_trace(step, learner, tr, 0.3)
         assert np.array_equal(learner.weights, np.zeros(3))
 
 
 def test_implicit_step_hand_value_and_standard_contrast():
     disc = DiscountSpec(gamma=1e-12, lam=0.0)  # gamma ~ 0; spec'd limit case
     learner = make_learner(1, disc)
-    td_step_implicit(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
+    step_with_fresh_trace(td_step_implicit, learner, transition([1.0], 1.0, [0.0]), 1.0)
     assert learner.weights[0] == pytest.approx(0.5)
     # the applied update is alpha * (b - e.w') * e with b = 1, e = 1, w = 0
     assert learner.weights[0] == pytest.approx(1.0 * (1.0 - learner.weights[0]))
     assert learner.max_abs == learner.weights[0]
 
     learner = make_learner(1, disc)
-    td_step_standard(learner, transition([1.0], 1.0, [0.0]), alpha=1.0)
+    step_with_fresh_trace(td_step_standard, learner, transition([1.0], 1.0, [0.0]), 1.0)
     assert learner.weights[0] == pytest.approx(1.0)
 
 
@@ -100,8 +103,11 @@ def test_implicit_matches_dense_oracle_random():
         tr = transition(rng.normal(size=k), float(rng.normal()), rng.normal(size=k))
         alpha = float(rng.uniform(1e-3, 5.0))
         want = td_step_implicit_oracle(learner, tr, alpha)
-        td_step_implicit(learner, tr, alpha)
+        e = update_trace(learner.trace, tr.phi_t, disc)
+        td_step_implicit(learner, tr, alpha, e)
         assert np.max(np.abs(learner.weights - want)) <= 1e-10
+        # an accepted step keeps the trace it was handed
+        assert learner.trace is e and learner.step_count == 1
 
 
 def test_standard_rewritten_form_identity():
@@ -116,9 +122,10 @@ def test_standard_rewritten_form_identity():
         tr = transition(rng.normal(size=k), float(rng.normal()), rng.normal(size=k))
         alpha = 0.2
         learner = TdLearnerState(weights=w.copy(), trace=e_prev.copy(), disc=disc)
-        td_step_standard(learner, tr, alpha)
-
         e = update_trace(e_prev, tr.phi_t, disc)
+        td_step_standard(learner, tr, alpha, e)
+        assert learner.trace is e and learner.step_count == 1
+
         bracket = (
             tr.reward
             + disc.gamma * float(tr.phi_next @ w)
@@ -145,9 +152,9 @@ def test_zero_reward_steps_are_the_gain_matrices():
             alpha = float(rng.uniform(0.01, 2.0))
             learner = TdLearnerState(weights=w.copy(), trace=e_prev.copy(), disc=disc)
             tr = transition(phi, 0.0, phi_next)
-            step(learner, tr, alpha)
-
             e = update_trace(e_prev, phi, disc)
+            step(learner, tr, alpha, e)
+
             g = TransitionGeometry(e=e, d=phi - disc.gamma * phi_next, alpha=alpha)
             want = dense_gain_matrix(g, implicit=implicit) @ w
             assert learner.weights == pytest.approx(want, abs=1e-10)
@@ -157,10 +164,28 @@ def test_terminal_zeroes_bootstrap_and_resets_trace():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
     learner = learner_at([1.0, 1.0], disc)
     tr = transition([1.0, 0.0], 2.0, [0.0, 0.0], terminal=True)
-    td_step_standard(learner, tr, alpha=0.5)
+    e = update_trace(learner.trace, tr.phi_t, disc)
+    td_step_standard(learner, tr, 0.5, e)
     # delta = r - phi.w = 2 - 1, no bootstrap term: w' = w + 0.5 * 1 * e
     assert learner.weights == pytest.approx([1.5, 1.0])
-    assert np.array_equal(learner.trace, [0.0, 0.0])
+    # the step keeps e; the trace is reset where the next episode starts
+    assert learner.trace is e
+
+    # sarsa_episode starts every episode from a zero trace, whatever the
+    # learner holds: a stale trace first, then the last episode's terminal e
+    learner = make_learner(8, disc)  # two actions of CartPole's 4 observations
+    learner.trace = np.ones(8)
+    schedule = make_schedule("constant", 0.1)
+    for seed in (0, 1):
+        seen = []
+        stats = sarsa_episode(
+            learner, schedule, CartPole(), lambda obs: obs, 0.1, False, seed,
+            on_step=lambda tr, alpha, e: seen.append((tr.phi_t, e)),
+        )
+        first_phi, first_e = seen[0]
+        assert np.array_equal(first_e, first_phi)  # gamma*lambda*0 + phi_t
+        assert stats.terminated and learner.trace is seen[-1][1]
+        assert np.any(learner.trace != 0.0)
 
 
 def test_delta_zero_leaves_both_rules_fixed():
@@ -173,7 +198,7 @@ def test_delta_zero_leaves_both_rules_fixed():
     r = float(phi @ w0 - 0.5 * (phi_next @ w0))  # makes delta = 0
     for step in (td_step_standard, td_step_implicit):
         learner = learner_at(w0, disc)
-        step(learner, transition(phi, r, phi_next), alpha=1.3)
+        step_with_fresh_trace(step, learner, transition(phi, r, phi_next), 1.3)
         assert learner.weights == pytest.approx(w0, abs=1e-14)
 
 
@@ -182,22 +207,22 @@ def test_divergence_threshold_flags_and_freezes():
     learner = learner_at([1.0], disc)
     # one huge step pushes past the threshold: flag set, weights kept finite
     tr = transition([1.0], DIVERGENCE_THRESHOLD * 2, [0.0])
-    td_step_standard(learner, tr, alpha=1.0)
+    step_with_fresh_trace(td_step_standard, learner, tr, 1.0)
     assert learner.diverged
     frozen = learner.weights.copy()
     # a diverged learner takes no step under either rule
     for step in (td_step_standard, td_step_implicit):
-        step(learner, transition([1.0], 1.0, [1.0]), alpha=1.0)
+        step_with_fresh_trace(step, learner, transition([1.0], 1.0, [1.0]), 1.0)
         assert np.array_equal(learner.weights, frozen)
         assert learner.max_abs == float(np.max(np.abs(frozen)))  # the pre-step value
 
 
 def test_max_abs_record_is_a_running_max():
     learner = learner_at([0.0], DiscountSpec(gamma=0.9, lam=0.0))
-    td_step_standard(learner, transition([1.0], 4.0, [0.0]), alpha=1.0)
+    step_with_fresh_trace(td_step_standard, learner, transition([1.0], 4.0, [0.0]), 1.0)
     assert learner.weights[0] == learner.max_abs == 4.0
     # a second step brings the weight back down; the record stays up
-    td_step_standard(learner, transition([1.0], 1.0, [0.0]), alpha=0.5)
+    step_with_fresh_trace(td_step_standard, learner, transition([1.0], 1.0, [0.0]), 0.5)
     assert learner.weights[0] == 2.5
     assert learner.max_abs == 4.0
     assert not learner.diverged
@@ -216,7 +241,7 @@ def test_nonfinite_candidate_rejected_state_unchanged():
     disc = DiscountSpec(gamma=0.9, lam=0.5)
     learner = learner_at([1.0], disc)
     learner.weights = np.array([1e308])
-    td_step_standard(learner, transition([1.0], 0.0, [-1.0]), alpha=1e6)
+    step_with_fresh_trace(td_step_standard, learner, transition([1.0], 0.0, [-1.0]), 1e6)
     assert learner.diverged
     assert learner.weights[0] == 1e308  # candidate was discarded
     assert learner.max_abs == NONFINITE_MAX_ABS
@@ -252,49 +277,12 @@ def test_nonfinite_candidate_kinds_rejected_state_unchanged(kind, implicit):
         expected = {"nan_only": [np.nan], "plus_inf": [np.inf], "minus_inf": [-np.inf]}[kind]
         assert np.array_equal(candidate, expected, equal_nan=True)
         weights, trace = learner.weights, learner.trace
-        step(learner, tr, alpha=1.0)
+        step(learner, tr, 1.0, update_trace(trace, tr.phi_t, disc))
     assert learner.diverged
     assert learner.weights is weights and learner.weights.tolist() == w0
     assert learner.trace is trace and learner.trace.tolist() == trace0
     assert learner.step_count == 0
     assert learner.max_abs == NONFINITE_MAX_ABS
-
-
-@pytest.mark.parametrize("implicit", [False, True], ids=["standard", "implicit"])
-@pytest.mark.parametrize("k", [64, 512])
-@pytest.mark.parametrize("case", ["non_terminal", "terminal", "rejected"])
-def test_a_passed_trace_steps_as_the_built_one_bit_for_bit(case, k, implicit):
-    # td_step_* given update_trace's trace must match the call that builds
-    # its own: same max-abs record, weights, trace and step count
-    disc = DiscountSpec(gamma=0.95, lam=0.7)
-    rng = np.random.default_rng(k + 7 * implicit)
-    w0, trace0, phi_t, phi_next = (rng.normal(size=k) for _ in range(4))
-    alpha = 0.3
-    if case == "rejected":
-        # the nan_only candidate of NONFINITE_CANDIDATES, padded with zeros
-        w0, trace0, phi_t, phi_next = (np.zeros(k) for _ in range(4))
-        w0[0], trace0[0], phi_t[0], phi_next[0] = 1e308, 0.5, 2.0, 2.0
-        alpha = 1.0
-    tr = transition(phi_t, float(rng.normal()), phi_next, terminal=case == "terminal")
-    step = td_step_implicit if implicit else td_step_standard
-    outcomes = []
-    for pass_trace in (False, True):
-        learner = TdLearnerState(weights=w0.copy(), trace=trace0.copy(), disc=disc)
-        e = update_trace(learner.trace, tr.phi_t, disc) if pass_trace else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            step(learner, tr, alpha, e)
-        outcomes.append((
-            learner.max_abs.hex(), learner.weights.tobytes(), learner.trace.tobytes(),
-            learner.step_count, learner.diverged,
-        ))
-    assert outcomes[0] == outcomes[1]
-    _, weights, trace, step_count, diverged = outcomes[1]
-    if case == "rejected":
-        assert diverged and step_count == 0
-        assert weights == w0.tobytes() and trace == trace0.tobytes()
-    else:
-        assert not diverged and step_count == 1
-        assert (trace == np.zeros(k).tobytes()) == (case == "terminal")
 
 
 @pytest.mark.parametrize("batch", [1, 2, 8, 33])
@@ -333,9 +321,9 @@ def test_learner_needs_a_positive_dimension(k):
 def test_alpha_must_be_positive():
     learner = make_learner(1, DiscountSpec(gamma=0.9, lam=0.5))
     with pytest.raises(ValueError):
-        td_step_standard(learner, transition([1.0], 0.0, [0.0]), alpha=0.0)
+        step_with_fresh_trace(td_step_standard, learner, transition([1.0], 0.0, [0.0]), 0.0)
     with pytest.raises(ValueError):
-        td_step_implicit(learner, transition([1.0], 0.0, [0.0]), alpha=-0.1)
+        step_with_fresh_trace(td_step_implicit, learner, transition([1.0], 0.0, [0.0]), -0.1)
 
 
 # --- fixed-point oracle
