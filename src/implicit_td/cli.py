@@ -9,7 +9,8 @@ Subcommands:
   cell <config>         run a single (alpha0, seed index) cell, print its row
 
 Output directory resolution: --out flag, else the IMPLICIT_TD_OUT
-environment variable, else the working directory. Exit codes: 0 success,
+environment variable, else the working directory. An output file that
+cannot be written is reported before any cell runs. Exit codes: 0 success,
 2 configuration error, 3 internal error.
 """
 
@@ -84,12 +85,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(flag_value: str | None) -> Path:
-    path = Path(flag_value or os.environ.get("IMPLICIT_TD_OUT") or ".")
+def _out_file(flag_value: str | None, name: str) -> Path:
+    """The output file `name` in the output directory, which is created.
+    A file that cannot be written is a ConfigError here, before any work
+    runs: a directory in its place, or an existing file (else its
+    directory) that os.access reports as not writable. No file is created."""
+    directory = Path(flag_value or os.environ.get("IMPLICIT_TD_OUT") or ".")
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise ConfigError(f"cannot use output directory {path}: {err}") from None
+        raise ConfigError(f"cannot use output directory {directory}: {err}") from None
+    path = directory / name
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.access(path if path.exists() else directory, os.W_OK):
+        raise ConfigError(f"cannot write {path}: not writable")
     return path
 
 
@@ -103,7 +113,7 @@ def _config_with_seed(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_with_seed(args)
-    out = _out_dir(args.out) / "sweep.csv"
+    out = _out_file(args.out, "sweep.csv")
     results = run_sweep(config, parallelism=args.parallelism, out_path=out)
     n_diverged = sum(r.diverged for r in results)
     print(f"wrote {out} ({len(results)} rows, {n_diverged} diverged)")
@@ -112,7 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _config_with_seed(args)
-    out = _out_dir(args.out) / "audit.csv"
+    out = _out_file(args.out, "audit.csv")
     result, rows = stability_audit_run(
         config, args.alpha, args.seed_index, args.sample_every, out_path=out
     )
@@ -143,11 +153,11 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 
 def _cmd_cell(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    out = None if args.out is None else _out_file(args.out, "cell.csv")
     row = run_cell(config, args.alpha, args.seed)
     print(SWEEP_HEADER)
     print(format_sweep_row(row))
-    if args.out is not None:
-        out = _out_dir(args.out) / "cell.csv"
+    if out is not None:
         write_sweep_csv([row], out)
         print(f"wrote {out}")
     return EXIT_OK

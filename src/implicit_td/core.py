@@ -45,9 +45,12 @@ class DiscountSpec:
 def update_trace(
     e_prev: np.ndarray, phi: np.ndarray, disc: DiscountSpec
 ) -> np.ndarray:
-    """Accumulating-trace recursion: gamma * lam * e_prev + phi."""
+    """Accumulating-trace recursion: gamma * lam * e_prev + phi, built in
+    one fresh array (the same bits: IEEE * and + commute)."""
     check_same_length(e_prev, phi)
-    return disc.trace_decay * e_prev + phi
+    e = e_prev * disc.trace_decay
+    e += phi
+    return e
 
 
 @dataclass(slots=True)

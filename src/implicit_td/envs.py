@@ -55,6 +55,12 @@ def make_fourier_basis(order: int, dims: int) -> FourierBasis:
     return FourierBasis(dims=dims, coefficients=coeffs)
 
 
+# pi as a read-only 0-d array: an array times it skips the conversion that a
+# Python-float operand costs on every call
+_PI = np.array(np.pi)
+_PI.flags.writeable = False
+
+
 def fourier_features(basis: FourierBasis, s: np.ndarray) -> np.ndarray:
     """Featurize one point of the unit box. Caller clamps; here we only check."""
     if s.shape != (basis.dims,):
@@ -62,7 +68,7 @@ def fourier_features(basis: FourierBasis, s: np.ndarray) -> np.ndarray:
             f"expected point of shape ({basis.dims},), got {s.shape}"
         )
     z = basis.coefficients.dot(s)  # fresh array: scale and take the cosine in place
-    z *= np.pi
+    z *= _PI
     return np.cos(z, out=z)
 
 

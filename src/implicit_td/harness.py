@@ -40,6 +40,7 @@ from .envs import (
 )
 from .learners import (
     DIVERGENCE_THRESHOLD,
+    abs_max,
     fold_max_abs,
     implicit_step,
     make_learner,
@@ -445,6 +446,11 @@ def _evaluate_rows(
     step = implicit_step if implicit else standard_step
     gamma = disc.gamma
     decay = disc.trace_decay
+    # the trace update's operand as a read-only 0-d array, made once: an
+    # array times it skips the conversion a Python float costs per call. The
+    # kernels keep the float: a 0-d operand would make their scalars numpy's
+    decay_0d = np.array(decay)
+    decay_0d.flags.writeable = False
     live = rows
     steps_done = 0
     # a diverging run keeps stepping on overflowed weights until the next
@@ -470,7 +476,7 @@ def _evaluate_rows(
                     # a polynomial alpha reads only the step count
                     alpha = next_alpha(schedule, t, e, phi, phi2, gamma)
                 e_prev = e
-                e = e_prev * decay
+                e = e_prev * decay_0d
                 e += phi
                 w = step(w, e_prev, e, phi, phi2, reward, alpha, gamma, decay, False)
                 if on_step is not None:
@@ -478,15 +484,15 @@ def _evaluate_rows(
             steps_done += n
             keep = []
             for i, (row, weights) in enumerate(zip(live, np.atleast_2d(w))):
-                # max propagates NaN and +-inf, so a non-finite weight folds in as such
-                row.max_abs = fold_max_abs(row.max_abs, float(np.abs(weights).max()))
+                # abs_max keeps NaN and +-inf, so a non-finite weight folds in as such
+                row.max_abs = fold_max_abs(row.max_abs, abs_max(weights))
                 if (
                     row.max_abs > DIVERGENCE_THRESHOLD
                     or steps_done == total_steps
                     or (
                         target_weights is not None
                         and target_tol is not None
-                        and float(np.max(np.abs(weights - target_weights))) <= target_tol
+                        and abs_max(weights - target_weights) <= target_tol
                     )
                 ):
                     row.result = _row_result(mrp, row, weights, steps_done, window)
@@ -720,7 +726,9 @@ def stability_audit_run(
     """
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
-    gamma = config.gamma
+    # a read-only 0-d array, as _evaluate_rows makes its trace decay
+    gamma = np.array(config.gamma)
+    gamma.flags.writeable = False
     rows: list[tuple[int, StabilityReport]] = []
     count = 0
 
@@ -805,8 +813,8 @@ def fixed_point_check(
         standard_run = standard_future.result()
     return FixedPointReport(
         w_star=w_star,
-        err_standard=float(np.max(np.abs(standard_run.weights - w_star))),
-        err_implicit=float(np.max(np.abs(implicit_run.weights - w_star))),
+        err_standard=abs_max(standard_run.weights - w_star),
+        err_implicit=abs_max(implicit_run.weights - w_star),
         steps_standard=standard_run.steps_completed,
         steps_implicit=implicit_run.steps_completed,
     )

@@ -28,10 +28,11 @@ products are np.vecdot over the rows, which makes the same ddot call once
 per row. So each row of a stack comes out bit for bit as its own 1-D call.
 
 Divergence contract, applied inside the one checked step (_td_step) that
-both wrappers call: each candidate's max-abs folds into the learner's
-running record (fold_max_abs). A non-finite candidate is rejected, leaving
-the state otherwise untouched. `diverged` is derived: the record exceeds
-DIVERGENCE_THRESHOLD. A diverged learner ignores further steps.
+both wrappers call: each candidate's max-abs (abs_max, NaN when any entry
+is) folds into the learner's running record (fold_max_abs). A non-finite
+candidate is rejected, leaving the state otherwise untouched. `diverged`
+is derived: the record exceeds DIVERGENCE_THRESHOLD. A diverged learner
+ignores further steps.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ DIVERGENCE_THRESHOLD = 1e8
 # what a non-finite max-abs folds in as: above the threshold, so the record
 # says diverged either way, and finite, so it can be written to a CSV row
 NONFINITE_MAX_ABS = 10.0 * DIVERGENCE_THRESHOLD
+
+
+def abs_max(w: np.ndarray) -> float:
+    """The largest |w_i| of a non-empty 1-D array, NaN if any entry is: the
+    value np.maximum.reduce(np.abs(w)) gives, since argmax returns the first
+    NaN, without ufunc.reduce's fixed cost per call."""
+    a = np.abs(w)
+    return float(a[a.argmax()])
 
 
 def fold_max_abs(recorded: float, max_abs: float) -> float:
@@ -135,7 +144,7 @@ def _td_step(
 ) -> None:
     """Check the inputs and apply the kernel's w' under the divergence
     contract: w' has a finite max-abs exactly when every entry is finite
-    (np.maximum.reduce, which .max wraps, keeps NaN)."""
+    (abs_max is NaN when any entry is)."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if state.diverged:
@@ -148,7 +157,7 @@ def _td_step(
         state.weights, state.trace, e, phi, tr.phi_next, tr.reward,
         alpha, disc.gamma, disc.trace_decay, tr.terminal,
     )
-    max_abs = float(np.maximum.reduce(np.abs(w_new)))
+    max_abs = abs_max(w_new)
     if math.isfinite(max_abs):
         state.weights = w_new
         state.trace = e

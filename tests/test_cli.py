@@ -80,14 +80,35 @@ def test_config_with_a_utf8_bom_runs_as_without_it(config_path, tmp_path, capsys
     ids=["sweep", "audit", "cell"],
 )
 def test_output_file_that_cannot_be_written_is_a_config_error(
-    argv, name, config_path, tmp_path, capsys
+    argv, name, config_path, tmp_path, capsys, monkeypatch
 ):
+    # found before any work runs or anything is printed
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output file was checked")
+
+    for runner in ("run_sweep", "stability_audit_run", "run_cell"):
+        monkeypatch.setattr(cli, runner, never)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)  # a directory where the CSV file goes
     command, *flags = argv
     assert cli.main([command, config_path, *flags, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write {out / name}: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {out / name}: ")
+    assert captured.out == ""
+
+
+def test_output_file_that_access_refuses_is_a_config_error(
+    config_path, tmp_path, capsys, monkeypatch
+):
+    # os.access stands in for a read-only file, which root could still write
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    existing = tmp_path / "sweep.csv"
+    existing.write_text("kept\n")
+    assert cli.main(["sweep", config_path, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {existing}: ")
+    assert captured.out == ""
+    assert existing.read_text() == "kept\n"
 
 
 def test_unusable_out_is_a_config_error(config_path, tmp_path, capsys):

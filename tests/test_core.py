@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from implicit_td.core import (
     DimensionMismatchError,
@@ -65,6 +66,32 @@ def test_update_trace_linear(e1, e2, a, b):
     lhs = update_trace(a * e1 + b * e2, a * e2 + b * e1, d)
     rhs = a * update_trace(e1, e2, d) + b * update_trace(e2, e1, d)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@st.composite
+def traces_and_features(draw):
+    k = draw(st.integers(1, 600))
+    # bounded so that e_prev * decay + phi cannot overflow
+    finite = st.floats(-1e300, 1e300, width=64)
+    e_prev = draw(hnp.arrays(np.float64, k, elements=finite))
+    phi = draw(hnp.arrays(np.float64, k, elements=finite))
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    lam = draw(st.floats(0.0, 1.0))
+    return e_prev, phi, DiscountSpec(gamma=gamma, lam=lam)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(traces_and_features())
+def test_update_trace_is_decay_times_trace_plus_phi_bit_for_bit(drawn):
+    e_prev, phi, d = drawn
+    e_prev_before, phi_before = e_prev.copy(), phi.copy()
+    got = update_trace(e_prev, phi, d)
+    want = d.trace_decay * e_prev + phi
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(e_prev.view(np.int64), e_prev_before.view(np.int64))
+    assert np.array_equal(phi.view(np.int64), phi_before.view(np.int64))
+    assert not np.shares_memory(got, e_prev)
+    assert not np.shares_memory(got, phi)
 
 
 def test_transition_validation():

@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from implicit_td import envs
 from implicit_td.core import DimensionMismatchError
@@ -60,6 +63,16 @@ def test_fourier_midpoint_values():
     assert fourier_features(basis, np.array([0.5])) == pytest.approx(
         [1.0, 0.0, -1.0, 0.0], abs=1e-12
     )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data(), st.sampled_from([2, 4]), st.integers(0, 5))
+def test_fourier_features_are_cos_of_pi_times_the_dot_bit_for_bit(data, dims, order):
+    basis = make_fourier_basis(order=order, dims=dims)
+    s = data.draw(hnp.arrays(np.float64, dims, elements=st.floats(0.0, 1.0)))
+    got = fourier_features(basis, s)
+    want = np.cos(np.pi * basis.coefficients.dot(s))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- finite MRPs

@@ -1,7 +1,12 @@
 """TD step rules against hand values and the dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from implicit_td.control import sarsa_episode
 from implicit_td.core import DiscountSpec, Transition, update_trace
@@ -10,6 +15,7 @@ from implicit_td.learners import (
     DIVERGENCE_THRESHOLD,
     NONFINITE_MAX_ABS,
     TdLearnerState,
+    abs_max,
     implicit_step,
     make_learner,
     standard_step,
@@ -226,6 +232,29 @@ def test_max_abs_record_is_a_running_max():
     assert learner.weights[0] == 2.5
     assert learner.max_abs == 4.0
     assert not learner.diverged
+
+
+# values whose max-abs is easy to get wrong: NaN, infinities, signed zeros,
+# subnormals, and few enough of them that ties are common
+MAX_ABS_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 600),
+        elements=st.one_of(st.sampled_from(MAX_ABS_SPECIALS), st.floats(width=64)),
+    )
+)
+def test_abs_max_is_the_maximum_reduce_of_abs_bit_for_bit(w):
+    got = abs_max(w)
+    want = np.maximum.reduce(np.abs(w))
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).view(np.int64) == want.view(np.int64)
 
 
 def test_diverged_is_read_only():
