@@ -65,7 +65,7 @@ def epsilon_greedy(
 def sarsa_episode(
     learner: TdLearnerState, schedule: StepSizeSchedule, env: DiscreteActionEnv,
     featurize: Callable[[np.ndarray], np.ndarray], epsilon: float, implicit: bool,
-    seed: int, max_steps: int | None = None, on_step: StepHook | None = None,
+    seed: int, max_steps: int, on_step: StepHook | None = None,
 ) -> EpisodeStats:
     """Run one episode, updating the learner on every transition.
 
@@ -74,12 +74,13 @@ def sarsa_episode(
     at the first action choice, before any learner step. `seed` drives both
     the environment reset and an independent policy stream. `max_steps` cuts
     the episode at a step budget without terminal bookkeeping (the trace
-    survives for the caller to inspect); it must be at least 1. The step that
+    survives for the caller to inspect); it must be at least 1, and the
+    environment's episode cap runs an episode to its end. The step that
     makes the learner diverge ends the episode, and a learner that has
     already diverged takes no step; the caller reads divergence and the
     max-abs weight from the learner's record.
     """
-    if max_steps is not None and max_steps < 1:
+    if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if learner.diverged:
         return EpisodeStats(0.0, 0, False)
@@ -119,7 +120,7 @@ def sarsa_episode(
         step_fn(learner, tr, alpha, e)
         if on_step is not None:
             on_step(tr, alpha, e)
-        # == is >= here: steps counts up by one from 1, max_steps is >= 1 or None
+        # == is >= here: steps counts up by one from 1, max_steps is >= 1
         if done or steps == max_steps or learner.diverged:
             return EpisodeStats(total, steps, done)
         sphi = sphi_next

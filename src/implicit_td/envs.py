@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -34,10 +34,16 @@ from .core import DimensionMismatchError
 
 @dataclass(frozen=True, slots=True)
 class FourierBasis:
-    """All (order+1)^dims cosine features cos(pi * c . s) over [0,1]^dims."""
+    """All (order+1)^dims cosine features cos(pi * c . s) over [0,1]^dims.
 
-    dims: int
+    dims is the coefficients' column count, set once here: fourier_features
+    reads it on every call."""
+
     coefficients: np.ndarray  # shape (k, dims), float for fast matvec
+    dims: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dims", self.coefficients.shape[1])
 
     @property
     def k(self) -> int:
@@ -52,7 +58,7 @@ def make_fourier_basis(order: int, dims: int) -> FourierBasis:
     coeffs = np.array(
         list(itertools.product(range(order + 1), repeat=dims)), dtype=np.float64
     )
-    return FourierBasis(dims=dims, coefficients=coeffs)
+    return FourierBasis(coeffs)
 
 
 # pi as a read-only 0-d array: an array times it skips the conversion that a
@@ -84,19 +90,20 @@ class FiniteMrp:
     where P > 0) so the stationary distribution is unique. It is checked by
     two breadth-first searches from state 0, one along the edges and one
     against them: the graph is strongly connected exactly when both reach
-    every state.
+    every state. n_states is P's row count, set here.
     """
 
-    n_states: int
     p: np.ndarray
     r: np.ndarray
     xi0: np.ndarray
     features: np.ndarray
+    n_states: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.n_states
+        n = self.p.shape[0] if self.p.ndim else 0  # a 0-d P fails as 0x0
         if self.p.shape != (n, n):
             raise ValueError(f"P must be {n}x{n}, got {self.p.shape}")
+        object.__setattr__(self, "n_states", n)
         if self.r.shape != (n,) or self.xi0.shape != (n,):
             raise ValueError("r and xi0 must have length n_states")
         if self.features.ndim != 2 or self.features.shape[0] != n:
@@ -133,11 +140,13 @@ def random_chain_mrp(n_states: int, seed: int, reward_scale: float = 1.0) -> Fin
     rng = np.random.default_rng(seed)
     raw = rng.random((n_states, n_states))
     p = raw / raw.sum(axis=1, keepdims=True)
-    r = rng.uniform(-reward_scale, reward_scale, size=n_states)
+    # numpy refuses a range whose high is below its low (-0.0 below 0.0
+    # too), so a negative scale draws the rewards of |scale| and mirrors them
+    r = rng.uniform(-abs(reward_scale), abs(reward_scale), size=n_states)
+    if reward_scale < 0.0:
+        r = -r
     xi0 = np.full(n_states, 1.0 / n_states)
-    return FiniteMrp(
-        n_states=n_states, p=p, r=r, xi0=xi0, features=np.eye(n_states)
-    )
+    return FiniteMrp(p=p, r=r, xi0=xi0, features=np.eye(n_states))
 
 
 def stationary_distribution(mrp: FiniteMrp) -> np.ndarray:

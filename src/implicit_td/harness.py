@@ -152,9 +152,18 @@ class ExperimentConfig:
             raise ConfigError("mrp_states must be >= 2")
         if not 0 <= self.base_seed <= _MASK64:
             raise ConfigError("base_seed must be an unsigned 64-bit integer")
-        # negative scales are legal: they only mirror the reward range
-        if not math.isfinite(self.mrp_reward_scale):
-            raise ConfigError("mrp_reward_scale must be finite")
+        # negative scales are legal: they only mirror the reward range. The
+        # reward range 2|s| must be finite, and so must the window mean's
+        # partial sums, each at most |s| * eval_window: below half the
+        # float64 maximum. A NaN or infinite scale fails here too
+        try:
+            window_bound = 2.0 * abs(self.mrp_reward_scale) * self.eval_window
+        except OverflowError:  # an eval_window past the float64 range
+            window_bound = math.inf
+        if not math.isfinite(window_bound):
+            raise ConfigError(
+                "mrp_reward_scale must be finite, and so must 2 * |it| * eval_window"
+            )
 
     @property
     def disc(self) -> DiscountSpec:
@@ -231,7 +240,7 @@ class SweepResult:
     diverged: bool
     max_weight_norm: float
     steps_completed: int
-    status: str = "ok"
+    status: str
 
 
 def _sweep_row(
@@ -327,10 +336,8 @@ def run_td_evaluation(
     total_steps: int,
     seed: int,
     implicit: bool,
-    eval_window: int | None = None,
-    target_weights: np.ndarray | None = None,
-    target_tol: float | None = None,
-    on_step: StepHook | None = None,
+    eval_window: int,
+    target: tuple[np.ndarray, float] | None = None,
 ) -> TdEvalResult:
     """Evaluate the MRP's fixed policy for total_steps transitions.
 
@@ -344,28 +351,26 @@ def run_td_evaluation(
     total_steps + 1.
 
     mean_reward_last_window is the mean reward of the last eval_window
-    steps completed (of all of them when eval_window is None; 0.0 after
-    none). The run keeps only the blocks that window can still read, so it
-    holds at most eval_window + CHECK_EVERY + 1 states whatever total_steps
-    is. eval_window below 1 and total_steps below 0 raise ValueError.
+    steps completed (0.0 after none). The run keeps only the blocks that
+    window can still read, so it holds at most eval_window + CHECK_EVERY + 1
+    states whatever total_steps is. eval_window below 1 and total_steps
+    below 0 raise ValueError.
 
     The schedule is constant or polynomial: alpha_bound belongs to SARSA
     and raises ValueError here. Every step takes a constant schedule's
     alpha0, or its alpha from next_alpha, and applies the learner's kernel
-    (implicit_step or standard_step) to plain arrays. When on_step is set
-    it is called after each step with (Transition, alpha, trace used); the
-    Transition is built only for the hook, which observes and never changes
-    the result.
+    (implicit_step or standard_step) to plain arrays.
 
-    Divergence and the optional early-exit target are checked every
-    CHECK_EVERY steps and at the last step; each check folds the weights'
-    max-abs into max_weight_abs by learners.fold_max_abs (NONFINITE_MAX_ABS
-    once they went non-finite). The run stops at the first check that trips,
-    so steps_completed is a multiple of CHECK_EVERY or total_steps.
+    Divergence and the optional early-exit target, a (weights, tolerance)
+    pair, are checked every CHECK_EVERY steps and at the last step; each
+    check folds the weights' max-abs into max_weight_abs by
+    learners.fold_max_abs (NONFINITE_MAX_ABS once they went non-finite). The
+    run stops at the first check that trips: divergence, the last step, or
+    a max-abs distance to the target weights within the tolerance. So
+    steps_completed is a multiple of CHECK_EVERY or total_steps.
     """
     (result,) = _evaluate_rows(
-        mrp, disc, [schedule], total_steps, [seed], implicit, eval_window,
-        target_weights, target_tol, on_step,
+        mrp, disc, [schedule], total_steps, [seed], implicit, eval_window, target
     )
     return result
 
@@ -389,9 +394,8 @@ def _evaluate_rows(
     total_steps: int,
     seeds: list[int],
     implicit: bool,
-    eval_window: int | None = None,
-    target_weights: np.ndarray | None = None,
-    target_tol: float | None = None,
+    eval_window: int,
+    target: tuple[np.ndarray, float] | None = None,
     on_step: StepHook | None = None,
 ) -> list[TdEvalResult]:
     """The TD-evaluation loop over B = len(seeds) rows in lockstep.
@@ -403,10 +407,12 @@ def _evaluate_rows(
     the same kernel, which gives every row the bits of its own one-row run.
     The schedules are constant, or there is one polynomial row; anything
     else (alpha_bound, which belongs to SARSA, or a polynomial stack)
-    raises ValueError. A stack takes no hook. Each step gathers the rows'
-    next features once and reuses them as the following step's current
-    features. At a check, a row that trips leaves the stack and draws no
-    further block.
+    raises ValueError. When on_step is set, it is called after each step
+    with (Transition, alpha, trace used); the Transition is built only for
+    the hook, which observes and never changes the result. A stack takes no
+    hook. Each step gathers the rows' next features once and reuses them as
+    the following step's current features. At a check, a row that trips
+    leaves the stack and draws no further block.
 
     Before drawing a block, each row drops the blocks that no result at the
     block's end or later can read: that result's window starts at or after
@@ -414,11 +420,10 @@ def _evaluate_rows(
     window, not by the steps it runs, and the window mean takes the same
     rewards in the same order as one mean over the whole path would.
     """
-    if eval_window is not None and eval_window < 1:
-        raise ValueError(f"eval_window must be >= 1 or None, got {eval_window}")
+    if eval_window < 1:
+        raise ValueError(f"eval_window must be >= 1, got {eval_window}")
     if total_steps < 0:
         raise ValueError(f"total_steps must be >= 0, got {total_steps}")
-    window = total_steps if eval_window is None else eval_window
     single = len(seeds) == 1
     schedule = schedules[0]
     polynomial = single and schedule.kind == "polynomial"
@@ -460,7 +465,7 @@ def _evaluate_rows(
             n = min(CHECK_EVERY, total_steps - steps_done)
             # the fewest trailing blocks (all full but the one-state start)
             # that hold the last window + 1 - n states drawn so far
-            held = max(0, math.ceil((window + 1 - n) / CHECK_EVERY))
+            held = max(0, math.ceil((eval_window + 1 - n) / CHECK_EVERY))
             for row in live:
                 start = int(row.visited[-1][-1])
                 del row.visited[: max(0, len(row.visited) - held)]
@@ -489,13 +494,9 @@ def _evaluate_rows(
                 if (
                     row.max_abs > DIVERGENCE_THRESHOLD
                     or steps_done == total_steps
-                    or (
-                        target_weights is not None
-                        and target_tol is not None
-                        and abs_max(weights - target_weights) <= target_tol
-                    )
+                    or (target is not None and abs_max(weights - target[0]) <= target[1])
                 ):
-                    row.result = _row_result(mrp, row, weights, steps_done, window)
+                    row.result = _row_result(mrp, row, weights, steps_done, eval_window)
                 else:
                     keep.append(i)
             if len(keep) < len(live):
@@ -763,8 +764,7 @@ def _fixed_point_leg(
     disc: DiscountSpec,
     steps: int,
     path_seed: int,
-    w_star: np.ndarray,
-    target_tol: float | None,
+    target: tuple[np.ndarray, float] | None,
     implicit: bool,
 ) -> TdEvalResult:
     """One learner's run of fixed_point_check. A module-level function, so a
@@ -777,8 +777,7 @@ def _fixed_point_leg(
         path_seed,
         implicit=implicit,
         eval_window=1,
-        target_weights=w_star,
-        target_tol=target_tol,
+        target=target,
     )
 
 
@@ -806,7 +805,8 @@ def fixed_point_check(
     """
     mrp = random_chain_mrp(n_states, mix64(seed))
     w_star = td_fixed_point_oracle(mrp, disc)
-    leg = (mrp, disc, steps, mix64(seed ^ 1), w_star, target_tol)
+    target = None if target_tol is None else (w_star, target_tol)
+    leg = (mrp, disc, steps, mix64(seed ^ 1), target)
     with _process_pool(1) as pool:
         standard_future = pool.submit(_fixed_point_leg, *leg, implicit=False)
         implicit_run = _fixed_point_leg(*leg, implicit=True)

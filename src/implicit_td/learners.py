@@ -38,7 +38,7 @@ ignores further steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,8 +73,9 @@ class TdLearnerState:
     weights: np.ndarray
     trace: np.ndarray
     disc: DiscountSpec
-    step_count: int = 0
-    max_abs: float = 0.0  # the largest max-abs of any candidate, folded
+    step_count: int = field(init=False, default=0)
+    # the largest max-abs of any candidate, folded
+    max_abs: float = field(init=False, default=0.0)
 
     @property
     def k(self) -> int:

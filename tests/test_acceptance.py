@@ -139,7 +139,6 @@ def test_criterion_4_fixed_point_agreement():
     started = time.perf_counter()
     # hand-derived fixed point of the deterministic 2-state cycle
     cycle = FiniteMrp(
-        n_states=2,
         p=np.array([[0.0, 1.0], [1.0, 0.0]]),
         r=np.array([1.0, 0.0]),
         xi0=np.array([0.5, 0.5]),
@@ -157,8 +156,8 @@ def test_criterion_4_fixed_point_agreement():
             10**6,
             seed=123,
             implicit=implicit,
-            target_weights=w_star,
-            target_tol=0.02,
+            eval_window=10**6,
+            target=(w_star, 0.02),
         )
         errs.append(float(np.max(np.abs(res.weights - w_star))))
         assert res.steps_completed <= 10**6

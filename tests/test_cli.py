@@ -1,10 +1,17 @@
 """Exit codes, output routing, and subcommand plumbing."""
 
+import contextlib
+import io
+import math
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implicit_td import cli, harness
 from implicit_td.core import DimensionMismatchError
-from implicit_td.harness import SWEEP_HEADER
+from implicit_td.harness import ALGORITHMS, DOMAINS, SWEEP_HEADER, ConfigError, parse_config_text
 
 CONFIG = """
 domain = cart_pole
@@ -129,6 +136,18 @@ def test_internal_error_exits_three(config_path, monkeypatch):
         assert cli.main(["sweep", config_path]) == 3
 
 
+# a td_* cell whose reward scale is finite but too large for its window
+HUGE_SCALE_TD = """
+domain = random_mrp
+algorithm = td_implicit
+alpha0_grid = 0.5
+total_steps = 100
+eval_window = 10
+n_seeds = 1
+mrp_reward_scale = {scale}
+"""
+
+
 @pytest.mark.parametrize(
     "config_text",
     [
@@ -145,12 +164,17 @@ def test_internal_error_exits_three(config_path, monkeypatch):
         CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = 1, x"),
         CONFIG.replace("alpha0_grid = 0.5", "alpha0_grid = 0.5, 0.5, 5e-1"),
         "domain = random_mrp\nalgorithm = td_implicit\nalpha0_grid = 0.5, 0.5, 5e-1\n",
+        # finite, but numpy's uniform range 2|s| overflows (1e308), or the
+        # window mean of the rewards does (8e307)
+        HUGE_SCALE_TD.format(scale="1e308"),
+        HUGE_SCALE_TD.format(scale="8e307"),
     ],
     ids=[
         "alpha0_inf", "alpha0_1e400", "reward_scale_nan", "reward_scale_inf",
         "unknown_algorithm", "total_steps_0", "lambda_1.5", "epsilon_negative",
         "fourier_order_negative", "mrp_states_1", "alpha0_not_a_number",
-        "alpha0_repeated_sarsa", "alpha0_repeated_td",
+        "alpha0_repeated_sarsa", "alpha0_repeated_td", "reward_scale_1e308",
+        "reward_scale_8e307",
     ],
 )
 def test_non_finite_config_value_exits_two_before_any_cell(config_text, tmp_path, monkeypatch):
@@ -163,6 +187,19 @@ def test_non_finite_config_value_exits_two_before_any_cell(config_text, tmp_path
     assert cli.main(["sweep", str(path), "--out", str(tmp_path)]) == 2
     assert cells == []
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("scale", ["1e308", "8e307"])
+def test_reward_scale_too_large_for_the_window_is_a_config_error_for_cell(
+    scale, tmp_path, capsys
+):
+    # refused before the cell runs, so not even the CSV header is printed
+    path = tmp_path / "run.cfg"
+    path.write_text(HUGE_SCALE_TD.format(scale=scale))
+    assert cli.main(["cell", str(path), "--alpha", "0.5", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -289,3 +326,76 @@ def test_base_seed_override_changes_rows(config_path, tmp_path):
     a = (out_a / "sweep.csv").read_text()
     b = (out_b / "sweep.csv").read_text()
     assert a != b
+
+
+# float values at and next to the ends of each key's range, where overflow and
+# underflow start; drawn alongside values from the whole range
+_FLOAT_MAX = sys.float_info.max
+_EDGE_SCALES = [_FLOAT_MAX, -_FLOAT_MAX, 1e308, 8e307, 1e300, 5e-324, 0.0, -0.0]
+_EDGE_ALPHAS = [5e-324, 2.2250738585072014e-308, 1.0, 1e300, 1e308]
+_EDGE_GAMMAS = [5e-324, 1e-300, math.nextafter(1.0, 0.0), 1.0 - 1e-12]
+# td_* algorithms run on random_mrp only, sarsa_* ones on the control domains
+_RUNNABLE_PAIRS = [
+    (domain, algorithm)
+    for domain in DOMAINS
+    for algorithm in ALGORITHMS
+    if (domain == "random_mrp") == algorithm.startswith("td_")
+]
+
+
+@st.composite
+def config_texts(draw):
+    """A config text, the cell's alpha0 and seed index. The keys stay inside
+    their checks or step just outside them, so both outcomes are drawn."""
+    domain, algorithm = draw(
+        st.sampled_from(_RUNNABLE_PAIRS)
+        | st.tuples(st.sampled_from(DOMAINS), st.sampled_from(ALGORITHMS))
+    )
+    total_steps = draw(st.integers(0, 60))
+    alpha = draw(st.sampled_from(_EDGE_ALPHAS) | st.floats(5e-324, 1e308))
+    values = {
+        "domain": domain,
+        "algorithm": algorithm,
+        "alpha0_grid": repr(alpha),
+        "total_steps": total_steps,
+        "eval_window": draw(st.integers(0, total_steps + 1)),
+        "fourier_order": draw(st.integers(0, 3)),
+        "mrp_states": draw(st.integers(2, 6)),
+        "mrp_reward_scale": repr(draw(
+            st.sampled_from(_EDGE_SCALES)
+            | st.floats(-_FLOAT_MAX, _FLOAT_MAX, allow_nan=False, allow_infinity=False)
+        )),
+        "gamma": repr(draw(st.sampled_from(_EDGE_GAMMAS) | st.floats(0.0, 1.0))),
+        "lambda": repr(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))),
+        "epsilon": repr(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))),
+        "base_seed": draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)),
+    }
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    return text, alpha, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(config_texts())
+def test_a_config_is_run_or_refused_and_never_exits_three(tmp_path_factory, drawn):
+    # a config the parser accepts runs to a row of finite floats; one it
+    # refuses is a configuration error before any cell runs
+    text, alpha, seed_idx = drawn
+    try:
+        parse_config_text(text)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["cell", str(path), "--alpha", repr(alpha), "--seed", str(seed_idx)])
+    assert code == (0 if accepted else 2), err.getvalue()
+    if accepted:
+        header, row = out.getvalue().splitlines()
+        assert header == SWEEP_HEADER
+        named = dict(zip(header.split(","), row.split(",")))
+        for name in ("alpha0", "final_avg_reward", "max_weight_norm"):
+            assert math.isfinite(float(named[name]))
+    else:
+        assert out.getvalue() == ""

@@ -13,7 +13,7 @@ from implicit_td.control import (
     stack_features,
 )
 from implicit_td.core import DiscountSpec, Transition
-from implicit_td.envs import CartPole, fourier_features, make_fourier_basis
+from implicit_td.envs import CART_EPISODE_CAP, CartPole, fourier_features, make_fourier_basis
 from implicit_td.learners import NONFINITE_MAX_ABS, make_learner, td_step_standard
 from implicit_td.stepsize import make_schedule
 from oracles import step_with_fresh_trace
@@ -84,7 +84,7 @@ def test_bad_epsilon_or_misfit_learner_raises_before_any_step():
         learner.weights = np.linspace(-1.0, 1.0, learner.k)
         before = learner.weights.copy()
         with pytest.raises(ValueError, match=message):
-            sarsa_episode(env=CartPole(), seed=0, **agent)
+            sarsa_episode(env=CartPole(), seed=0, max_steps=CART_EPISODE_CAP, **agent)
         assert np.array_equal(learner.weights, before)
         assert learner.step_count == 0
         assert learner.max_abs == 0.0
@@ -110,7 +110,7 @@ def test_diverged_agent_returns_immediately():
     learner = agent["learner"]
     learner.max_abs = NONFINITE_MAX_ABS
     before = learner.weights.copy()
-    stats = sarsa_episode(env=CartPole(), seed=0, **agent)
+    stats = sarsa_episode(env=CartPole(), seed=0, max_steps=CART_EPISODE_CAP, **agent)
     assert learner.diverged and stats.steps == 0
     assert np.array_equal(learner.weights, before)
 
@@ -173,7 +173,9 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
         kept.append((e, e.copy()))
         seen.append(tr)
 
-    stats = sarsa_episode(env=CartPole(), seed=4, on_step=hook, **agent)
+    stats = sarsa_episode(
+        env=CartPole(), seed=4, max_steps=CART_EPISODE_CAP, on_step=hook, **agent
+    )
     assert stats.terminated and seen[-1].terminal
     assert len(seen) == stats.steps == len(calls)
     assert learner.step_count == stats.steps
@@ -181,7 +183,7 @@ def test_hook_trace_is_the_one_update_trace(kind, monkeypatch):
 
     # no hook: still exactly one update_trace per step, none in the step
     calls.clear()
-    stats = sarsa_episode(env=CartPole(), seed=5, **agent)
+    stats = sarsa_episode(env=CartPole(), seed=5, max_steps=CART_EPISODE_CAP, **agent)
     assert stats.terminated
     assert len(calls) == stats.steps
     assert learner.step_count == len(seen) + stats.steps

@@ -44,6 +44,21 @@ def test_fourier_coefficients_lexicographic():
     assert basis.coefficients.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
+def test_sizes_are_read_from_the_arrays_and_cannot_be_passed():
+    # dims is the coefficients' column count and n_states P's row count, so
+    # neither can disagree with the arrays it describes
+    basis = make_fourier_basis(order=2, dims=3)
+    assert (basis.dims, basis.k) == (3, 27)
+    assert random_chain_mrp(6, seed=0).n_states == 6
+    with pytest.raises(TypeError):
+        envs.FourierBasis(coefficients=basis.coefficients, dims=3)
+    with pytest.raises(TypeError):
+        FiniteMrp(
+            p=np.full((2, 2), 0.5), r=np.zeros(2), xi0=np.full(2, 0.5), features=np.eye(2),
+            n_states=2,
+        )
+
+
 @pytest.mark.parametrize(
     "order,dims,match", [(-1, 2, "order must be >= 0"), (3, 0, "dims must be >= 1")]
 )
@@ -102,7 +117,6 @@ def test_reducible_chain_rejected():
     p = np.array([[1.0, 0.0], [0.5, 0.5]])  # state 0 absorbs
     with pytest.raises(ValueError):
         FiniteMrp(
-            n_states=2,
             p=p,
             r=np.zeros(2),
             xi0=np.array([0.5, 0.5]),
@@ -113,6 +127,9 @@ def test_reducible_chain_rejected():
 # one field of a valid two-state chain replaced, and the check it trips
 MALFORMED_MRPS = {
     "p_shape": (dict(p=np.full((2, 3), 1 / 3)), "P must be 2x2"),
+    # n_states is P's row count; a P that is not 2-D is still refused
+    "p_1d": (dict(p=np.full(2, 0.5)), r"P must be 2x2, got \(2,\)"),
+    "p_0d": (dict(p=np.array(1.0)), r"P must be 0x0, got \(\)"),
     "r_length": (dict(r=np.zeros(3)), "r and xi0 must have length"),
     "xi0_length": (dict(xi0=np.full(3, 1 / 3)), "r and xi0 must have length"),
     "features_1d": (dict(features=np.ones(2)), "features must be an n_states x k"),
@@ -127,13 +144,19 @@ MALFORMED_MRPS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_MRPS))
 def test_malformed_mrp_rejected(case):
     override, match = MALFORMED_MRPS[case]
-    valid = dict(
-        n_states=2, p=np.full((2, 2), 0.5), r=np.zeros(2), xi0=np.full(2, 0.5),
-        features=np.eye(2),
-    )
+    valid = dict(p=np.full((2, 2), 0.5), r=np.zeros(2), xi0=np.full(2, 0.5), features=np.eye(2))
     FiniteMrp(**valid)
     with pytest.raises(ValueError, match=match):
         FiniteMrp(**{**valid, **override})
+
+
+@pytest.mark.parametrize("scale", [2.5, 1e-300, 0.0])
+def test_a_negative_reward_scale_mirrors_the_rewards(scale):
+    # numpy's uniform refuses a range whose high is below its low
+    plain, mirrored = (random_chain_mrp(5, seed=11, reward_scale=s) for s in (scale, -scale))
+    assert np.array_equal(mirrored.p, plain.p)
+    assert np.array_equal(mirrored.r, -plain.r)
+    assert np.all(np.abs(plain.r) <= scale)
 
 
 def test_random_chain_needs_two_states():
@@ -145,7 +168,7 @@ def test_periodic_but_irreducible_chain_accepted():
     # deterministic 2-cycle; period 2 is fine, only reducibility is fatal
     p = np.array([[0.0, 1.0], [1.0, 0.0]])
     mrp = FiniteMrp(
-        n_states=2, p=p, r=np.array([1.0, 0.0]), xi0=np.array([0.5, 0.5]),
+        p=p, r=np.array([1.0, 0.0]), xi0=np.array([0.5, 0.5]),
         features=np.eye(2),
     )
     assert stationary_distribution(mrp) == pytest.approx([0.5, 0.5])
@@ -154,7 +177,7 @@ def test_periodic_but_irreducible_chain_accepted():
 def _mrp_on(p):
     n = p.shape[0]
     return FiniteMrp(
-        n_states=n, p=p, r=np.zeros(n), xi0=np.full(n, 1.0 / n), features=np.ones((n, 1))
+        p=p, r=np.zeros(n), xi0=np.full(n, 1.0 / n), features=np.ones((n, 1))
     )
 
 
@@ -227,7 +250,7 @@ def test_mrp_episode_horizon_and_determinism():
 def test_mrp_episode_cycle_alternates():
     p = np.array([[0.0, 1.0], [1.0, 0.0]])
     mrp = FiniteMrp(
-        n_states=2, p=p, r=np.array([1.0, 0.0]), xi0=np.array([1.0, 0.0]),
+        p=p, r=np.array([1.0, 0.0]), xi0=np.array([1.0, 0.0]),
         features=np.eye(2),
     )
     path = sample_state_path(mrp, 7, np.random.default_rng(3))
@@ -254,7 +277,7 @@ def _searchsorted_path(mrp, length, rng):
 
 def _two_cycle():
     return FiniteMrp(
-        n_states=2, p=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.array([1.0, 0.0]),
+        p=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.array([1.0, 0.0]),
         xi0=np.array([0.5, 0.5]), features=np.eye(2),
     )
 
@@ -297,7 +320,7 @@ def test_bisect_walk_breaks_cdf_ties_like_searchsorted():
         [0.0, 1.0, 0.0, 0.0],
     ])
     mrp = FiniteMrp(
-        n_states=4, p=p, r=np.zeros(4), xi0=np.array([0.5, 0.0, 0.5, 0.0]),
+        p=p, r=np.zeros(4), xi0=np.array([0.5, 0.0, 0.5, 0.0]),
         features=np.eye(4),
     )
     ties = sorted({0.0, *np.cumsum(p, axis=1).ravel(), *np.cumsum(mrp.xi0)} - {1.0})

@@ -174,6 +174,14 @@ def test_config_validation_errors():
             ExperimentConfig(
                 domain="random_mrp", algorithm="td_implicit", mrp_reward_scale=scale
             )
+    # finite, but 2 * |scale| * eval_window is not: numpy's uniform range
+    # overflows at 1e308, the window mean of 10 rewards at 8e307
+    for scale in (1e308, -1e308, 8e307):
+        with pytest.raises(ConfigError, match="mrp_reward_scale"):
+            ExperimentConfig(
+                domain="random_mrp", algorithm="td_implicit", total_steps=100,
+                eval_window=10, mrp_reward_scale=scale,
+            )
 
 
 def test_default_grid_is_the_powers_of_two():
@@ -378,10 +386,10 @@ def test_td_eval_hook_only_observes(alpha0, diverges):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         runs = [
-            run_td_evaluation(
-                mrp, disc, make_schedule("constant", alpha0), 4000, seed=3,
-                implicit=False, on_step=hook,
-            )
+            harness._evaluate_rows(
+                mrp, disc, [make_schedule("constant", alpha0)], 4000, [3],
+                implicit=False, eval_window=4000, on_step=hook,
+            )[0]
             for hook in (None, lambda tr, alpha, e: calls.append(alpha))
         ]
     # steps on overflowed weights before the next check are expected, not warned about
@@ -400,7 +408,7 @@ def test_td_eval_hook_only_observes(alpha0, diverges):
 def test_td_eval_diverged_is_read_from_the_max_abs_record(alpha0, max_abs):
     res = run_td_evaluation(
         random_chain_mrp(5, seed=9), DiscountSpec(gamma=0.9, lam=0.5),
-        make_schedule("constant", alpha0), 4000, seed=3, implicit=False,
+        make_schedule("constant", alpha0), 4000, seed=3, implicit=False, eval_window=4000,
     )
     assert (res.max_weight_abs > DIVERGENCE_THRESHOLD) == (alpha0 > 1.0)
     if max_abs is not None:  # the weights went non-finite
@@ -423,8 +431,8 @@ def test_td_eval_early_exit_at_target():
         10**6,
         seed=4,
         implicit=False,
-        target_weights=w_star,
-        target_tol=0.05,
+        eval_window=10**6,
+        target=(w_star, 0.05),
     )
     assert res.steps_completed < 10**6
     assert float(np.max(np.abs(res.weights - w_star))) <= 0.05
@@ -434,7 +442,7 @@ def test_td_eval_early_exit_at_target():
 def test_td_eval_samples_at_most_one_block_past_an_early_exit(monkeypatch, implicit):
     # criterion 4's 2-state cycle, which reaches tolerance 0.02 far before 10**6 steps
     cycle = FiniteMrp(
-        n_states=2, p=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.array([1.0, 0.0]),
+        p=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.array([1.0, 0.0]),
         xi0=np.array([0.5, 0.5]), features=np.eye(2),
     )
     disc = DiscountSpec(gamma=0.5, lam=0.0)
@@ -447,8 +455,7 @@ def test_td_eval_samples_at_most_one_block_past_an_early_exit(monkeypatch, impli
     monkeypatch.setattr(harness, "sample_state_path", counting)
     res = run_td_evaluation(
         cycle, disc, make_schedule("polynomial", 0.5), 10**6, seed=123,
-        implicit=implicit, target_weights=td_fixed_point_oracle(cycle, disc),
-        target_tol=0.02,
+        implicit=implicit, eval_window=10**6, target=(td_fixed_point_oracle(cycle, disc), 0.02),
     )
     assert res.steps_completed < 10**6
     assert sum(sampled) <= res.steps_completed + CHECK_EVERY + 1
@@ -468,11 +475,12 @@ def test_td_eval_rejects_a_bad_window_or_budget(kwargs, name):
     args = dict(
         mrp=mrp, disc=DiscountSpec(gamma=0.9, lam=0.5),
         schedule=make_schedule("constant", 0.1), total_steps=100, seed=0, implicit=False,
+        eval_window=100,
     )
     with pytest.raises(ValueError, match=f"^{name} must be >= "):
         run_td_evaluation(**{**args, **kwargs})
-    # no window and no steps stay legal
-    res = run_td_evaluation(**{**args, "total_steps": 0, "eval_window": None})
+    # no steps stay legal, whatever the window
+    res = run_td_evaluation(**{**args, "total_steps": 0, "eval_window": 1})
     assert (res.steps_completed, res.mean_reward_last_window) == (0, 0.0)
 
 
@@ -489,9 +497,9 @@ def test_td_eval_takes_constant_schedules_or_one_polynomial_row(kinds):
     seeds = list(range(len(kinds)))
     with pytest.raises(ValueError, match="constant schedules, or one polynomial row"):
         if len(kinds) == 1:
-            run_td_evaluation(mrp, disc, schedules[0], 100, seeds[0], implicit=False)
+            run_td_evaluation(mrp, disc, schedules[0], 100, seeds[0], False, eval_window=100)
         else:
-            harness._evaluate_rows(mrp, disc, schedules, 100, seeds, implicit=False)
+            harness._evaluate_rows(mrp, disc, schedules, 100, seeds, False, eval_window=100)
 
 
 def window_mean_up_front(mrp, seed, total_steps, steps_done, window):
@@ -499,7 +507,7 @@ def window_mean_up_front(mrp, seed, total_steps, steps_done, window):
     rng = np.random.default_rng(seed)
     start = sample_state_path(mrp, 1, rng)
     path = np.concatenate([start, sample_state_path(mrp, total_steps, rng, start=int(start[0]))])
-    lo = 0 if window is None else max(0, steps_done - window)
+    lo = max(0, steps_done - window)
     return float(mrp.r[path[:-1]][lo:steps_done].mean())
 
 
@@ -515,7 +523,7 @@ WINDOW_CASES = {
 
 
 @pytest.mark.parametrize(
-    "window", [1, 999, 1000, 1001, ORACLE_STEPS, ORACLE_STEPS + 7, None]
+    "window", [1, 999, 1000, 1001, ORACLE_STEPS, ORACLE_STEPS + 7]
 )
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_td_eval_window_mean_equals_a_path_drawn_up_front(case, window):
@@ -525,8 +533,7 @@ def test_td_eval_window_mean_equals_a_path_drawn_up_front(case, window):
     res = run_td_evaluation(
         mrp, disc, make_schedule(kind, alpha0), ORACLE_STEPS, seed=3,
         implicit=implicit, eval_window=window,
-        target_weights=td_fixed_point_oracle(mrp, disc) if target_tol else None,
-        target_tol=target_tol,
+        target=(td_fixed_point_oracle(mrp, disc), target_tol) if target_tol else None,
     )
     assert res.steps_completed == steps
     assert (res.max_weight_abs > DIVERGENCE_THRESHOLD) == (case == "diverging")
@@ -551,8 +558,7 @@ def fixed_point_standard_leg(steps):
     # see it, run in this process on the same chain
     mrp = random_chain_mrp(5, mix64(0))
     disc = DiscountSpec(gamma=0.8, lam=0.5)
-    w_star = td_fixed_point_oracle(mrp, disc)
-    harness._fixed_point_leg(mrp, disc, steps, mix64(1), w_star, None, implicit=False)
+    harness._fixed_point_leg(mrp, disc, steps, mix64(1), None, implicit=False)
 
 
 @pytest.mark.parametrize(
@@ -903,7 +909,7 @@ def test_fixed_point_check_zero_rewards_exact():
     for implicit in (False, True):
         run = run_td_evaluation(
             mrp, disc, make_schedule("polynomial", harness.FIXED_POINT_ALPHA0),
-            500, mix64(1), implicit=implicit,
+            500, mix64(1), implicit=implicit, eval_window=500,
         )
         err[implicit] = float(np.max(np.abs(run.weights - w_star)))
     assert err[False] == 0.0
@@ -933,7 +939,7 @@ def test_fixed_point_check_equals_two_in_process_runs(case):
         implicit: run_td_evaluation(
             mrp, disc, make_schedule("polynomial", harness.FIXED_POINT_ALPHA0), steps,
             mix64(seed ^ 1), implicit=implicit, eval_window=1,
-            target_weights=w_star, target_tol=target_tol,
+            target=None if target_tol is None else (w_star, target_tol),
         )
         for implicit in (False, True)
     }

@@ -10,7 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from implicit_td.control import sarsa_episode
 from implicit_td.core import DiscountSpec, Transition, update_trace
-from implicit_td.envs import CartPole, FiniteMrp, random_chain_mrp, stationary_distribution
+from implicit_td.envs import (
+    CART_EPISODE_CAP,
+    CartPole,
+    FiniteMrp,
+    random_chain_mrp,
+    stationary_distribution,
+)
 from implicit_td.learners import (
     DIVERGENCE_THRESHOLD,
     NONFINITE_MAX_ABS,
@@ -186,7 +192,7 @@ def test_terminal_zeroes_bootstrap_and_resets_trace():
         seen = []
         stats = sarsa_episode(
             learner, schedule, CartPole(), lambda obs: obs, 0.1, False, seed,
-            on_step=lambda tr, alpha, e: seen.append((tr.phi_t, e)),
+            CART_EPISODE_CAP, on_step=lambda tr, alpha, e: seen.append((tr.phi_t, e)),
         )
         first_phi, first_e = seen[0]
         assert np.array_equal(first_e, first_phi)  # gamma*lambda*0 + phi_t
@@ -361,7 +367,7 @@ def test_alpha_must_be_positive():
 def test_fixed_point_two_state_cycle_hand_value():
     p = np.array([[0.0, 1.0], [1.0, 0.0]])
     mrp = FiniteMrp(
-        n_states=2, p=p, r=np.array([1.0, 0.0]), xi0=np.array([0.5, 0.5]),
+        p=p, r=np.array([1.0, 0.0]), xi0=np.array([0.5, 0.5]),
         features=np.eye(2),
     )
     w = td_fixed_point_oracle(mrp, DiscountSpec(gamma=0.5, lam=0.0))
@@ -380,7 +386,7 @@ def with_two_features(mrp, seed):
     so w* depends on lambda."""
     features = np.random.default_rng(seed).uniform(-1.0, 1.0, (mrp.n_states, 2))
     return FiniteMrp(
-        n_states=mrp.n_states, p=mrp.p, r=mrp.r, xi0=mrp.xi0, features=features
+        p=mrp.p, r=mrp.r, xi0=mrp.xi0, features=features
     )
 
 
