@@ -6,9 +6,12 @@ Subcommands:
   audit <config>        run one cell with per-step stability audits, write audit.csv
   fixed-point           compare both learners against the fixed-point oracle
                         (the standard learner runs in a worker process)
-  cell <config>         run a single (alpha0, seed index) cell, print its row
+  cell <config>         run a single (alpha0, seed index) cell, print the
+                        sweep.csv header and its row to stdout
 
-Output directory resolution: --out flag, else the IMPLICIT_TD_OUT
+base_seed comes from the config file only; `cell` and `audit` pick a cell
+by --alpha and --seed-index, and no flag may be abbreviated. Output
+directory of sweep and audit: --out flag, else the IMPLICIT_TD_OUT
 environment variable, else the working directory. An output file that
 cannot be written is reported before any cell runs. Exit codes: 0 success,
 2 configuration error, 3 internal error.
@@ -17,7 +20,6 @@ cannot be written is reported before any cell runs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -27,14 +29,12 @@ from .core import DiscountSpec
 from .harness import (
     SWEEP_HEADER,
     ConfigError,
-    ExperimentConfig,
     fixed_point_check,
     format_sweep_row,
     load_config,
     run_cell,
     run_sweep,
     stability_audit_run,
-    write_sweep_csv,
 )
 
 EXIT_OK = 0
@@ -49,13 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="run the full alpha0 x seed grid")
+    # a prefix of a flag is refused, so a removed flag is never read as another
+    sweep = sub.add_parser(
+        "sweep", help="run the full alpha0 x seed grid", allow_abbrev=False
+    )
     sweep.add_argument("config", help="path to a key=value config file")
     sweep.add_argument("--out", help="output directory (default: $IMPLICIT_TD_OUT or .)")
-    sweep.add_argument("--seed", type=int, help="override the config base_seed")
     sweep.add_argument("--parallelism", type=int, default=1, help="worker processes")
 
-    audit = sub.add_parser("audit", help="audit per-step stability in one cell")
+    audit = sub.add_parser(
+        "audit", help="audit per-step stability in one cell", allow_abbrev=False
+    )
     audit.add_argument("config")
     audit.add_argument("--alpha", type=float, required=True, help="cell alpha0")
     audit.add_argument("--seed-index", type=int, default=0, help="cell seed index")
@@ -63,10 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sample-every", type=int, default=100, help="audit every Nth transition"
     )
     audit.add_argument("--out", help="output directory")
-    audit.add_argument("--seed", type=int, help="override the config base_seed")
 
     fp = sub.add_parser(
-        "fixed-point", help="check both learners against the fixed-point oracle"
+        "fixed-point",
+        help="check both learners against the fixed-point oracle",
+        allow_abbrev=False,
     )
     fp.add_argument("--states", type=int, default=5, help="random chain size")
     fp.add_argument("--seed", type=int, default=0)
@@ -77,11 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, help="stop early at this max-abs error"
     )
 
-    cell = sub.add_parser("cell", help="run one (alpha0, seed index) cell")
+    cell = sub.add_parser(
+        "cell", help="run one (alpha0, seed index) cell", allow_abbrev=False
+    )
     cell.add_argument("config")
     cell.add_argument("--alpha", type=float, required=True, help="cell alpha0")
-    cell.add_argument("--seed", type=int, required=True, help="cell seed index")
-    cell.add_argument("--out", help="write the row to <out>/cell.csv as well")
+    cell.add_argument("--seed-index", type=int, default=0, help="cell seed index")
     return parser
 
 
@@ -103,16 +109,8 @@ def _out_file(flag_value: str | None, name: str) -> Path:
     return path
 
 
-def _config_with_seed(args: argparse.Namespace) -> ExperimentConfig:
-    # replace() reruns ExperimentConfig's validation on the new base_seed
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, base_seed=args.seed)
-    return config
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_with_seed(args)
+    config = load_config(args.config)
     out = _out_file(args.out, "sweep.csv")
     results = run_sweep(config, parallelism=args.parallelism, out_path=out)
     n_diverged = sum(r.diverged for r in results)
@@ -121,7 +119,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    config = _config_with_seed(args)
+    config = load_config(args.config)
     out = _out_file(args.out, "audit.csv")
     result, rows = stability_audit_run(
         config, args.alpha, args.seed_index, args.sample_every, out_path=out
@@ -141,25 +139,22 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     disc = DiscountSpec(gamma=args.gamma, lam=args.lam)
     report = fixed_point_check(
         args.states, args.seed, disc, args.steps, target_tol=args.tol
     )
-    print(f"w_star: {report.w_star}")
+    print(f"w_star: {','.join(map(repr, report.w_star.tolist()))}")
     print(f"standard: err={report.err_standard!r} steps={report.steps_standard}")
     print(f"implicit: err={report.err_implicit!r} steps={report.steps_implicit}")
     return EXIT_OK
 
 
 def _cmd_cell(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    out = None if args.out is None else _out_file(args.out, "cell.csv")
-    row = run_cell(config, args.alpha, args.seed)
+    row = run_cell(load_config(args.config), args.alpha, args.seed_index)
     print(SWEEP_HEADER)
     print(format_sweep_row(row))
-    if out is not None:
-        write_sweep_csv([row], out)
-        print(f"wrote {out}")
     return EXIT_OK
 
 

@@ -5,13 +5,21 @@ import io
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicit_td import cli, harness
 from implicit_td.core import DimensionMismatchError
-from implicit_td.harness import ALGORITHMS, DOMAINS, SWEEP_HEADER, ConfigError, parse_config_text
+from implicit_td.harness import (
+    ALGORITHMS,
+    DOMAINS,
+    SWEEP_HEADER,
+    ConfigError,
+    FixedPointReport,
+    parse_config_text,
+)
 
 CONFIG = """
 domain = cart_pole
@@ -28,6 +36,14 @@ def config_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG)
     return str(path)
+
+
+@pytest.fixture
+def in_tmp_path(tmp_path, monkeypatch):
+    # sweep and audit default to writing into the working directory
+    monkeypatch.delenv("IMPLICIT_TD_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 def test_sweep_writes_csv_and_exits_zero(config_path, tmp_path, capsys):
@@ -51,16 +67,17 @@ def test_bad_config_key_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["sweep"], ["cell", "--alpha", "0.5", "--seed", "0"], ["audit", "--alpha", "0.5"]]
+    "argv",
+    [["sweep"], ["cell", "--alpha", "0.5", "--seed-index", "0"], ["audit", "--alpha", "0.5"]],
 )
-def test_config_that_is_not_utf8_is_a_config_error(argv, tmp_path, capsys):
-    path = tmp_path / "latin1.cfg"
+def test_config_that_is_not_utf8_is_a_config_error(argv, in_tmp_path, capsys):
+    path = in_tmp_path / "latin1.cfg"
     path.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
     command, *flags = argv
-    assert cli.main([command, str(path), *flags, "--out", str(tmp_path)]) == 2
+    assert cli.main([command, str(path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "UTF-8" in err
-    assert list(tmp_path.glob("*.csv")) == []
+    assert list(in_tmp_path.glob("*.csv")) == []
 
 
 def test_config_with_a_utf8_bom_runs_as_without_it(config_path, tmp_path, capsys):
@@ -68,12 +85,10 @@ def test_config_with_a_utf8_bom_runs_as_without_it(config_path, tmp_path, capsys
     bom_path = tmp_path / "bom.cfg"
     bom_path.write_bytes(b"\xef\xbb\xbf" + CONFIG.lstrip().encode())
     outputs = []
-    for name, path in (("plain", config_path), ("bom", str(bom_path))):
-        out = tmp_path / name
-        argv = ["cell", path, "--alpha", "0.5", "--seed", "0", "--out", str(out)]
-        assert cli.main(argv) == 0
-        printed = capsys.readouterr().out.splitlines()[:2]
-        outputs.append((printed, (out / "cell.csv").read_bytes()))
+    for path in (config_path, str(bom_path)):
+        assert cli.main(["cell", path, "--alpha", "0.5", "--seed-index", "0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith(f"{SWEEP_HEADER}\ncart_pole,sarsa_implicit,0.5,0,")
     assert outputs[0] == outputs[1]
 
 
@@ -82,9 +97,8 @@ def test_config_with_a_utf8_bom_runs_as_without_it(config_path, tmp_path, capsys
     [
         (["sweep"], "sweep.csv"),
         (["audit", "--alpha", "0.5"], "audit.csv"),
-        (["cell", "--alpha", "0.5", "--seed", "0"], "cell.csv"),
     ],
-    ids=["sweep", "audit", "cell"],
+    ids=["sweep", "audit"],
 )
 def test_output_file_that_cannot_be_written_is_a_config_error(
     argv, name, config_path, tmp_path, capsys, monkeypatch
@@ -93,7 +107,7 @@ def test_output_file_that_cannot_be_written_is_a_config_error(
     def never(*args, **kwargs):
         raise AssertionError("ran before the output file was checked")
 
-    for runner in ("run_sweep", "stability_audit_run", "run_cell"):
+    for runner in ("run_sweep", "stability_audit_run"):
         monkeypatch.setattr(cli, runner, never)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)  # a directory where the CSV file goes
@@ -196,7 +210,7 @@ def test_reward_scale_too_large_for_the_window_is_a_config_error_for_cell(
     # refused before the cell runs, so not even the CSV header is printed
     path = tmp_path / "run.cfg"
     path.write_text(HUGE_SCALE_TD.format(scale=scale))
-    assert cli.main(["cell", str(path), "--alpha", "0.5", "--seed", "0"]) == 2
+    assert cli.main(["cell", str(path), "--alpha", "0.5", "--seed-index", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
     assert captured.out == ""
@@ -205,18 +219,45 @@ def test_reward_scale_too_large_for_the_window_is_a_config_error_for_cell(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--seed", "-1"],
-        ["audit", "--alpha", "0.5", "--seed", "-1"],
+        ["audit", "--alpha", "0.5", "--seed-index", "-1"],
+        ["cell", "--alpha", "0.5", "--seed-index", "-1"],
         ["audit", "--alpha", "inf"],
-        ["cell", "--alpha", "inf", "--seed", "0"],
+        ["cell", "--alpha", "inf", "--seed-index", "0"],
         ["sweep", "--parallelism", "0"],
         ["audit", "--alpha", "0.5", "--sample-every", "0"],
     ],
 )
-def test_bad_seed_or_alpha_flag_is_a_config_error(argv, config_path, tmp_path):
+def test_bad_seed_or_alpha_flag_is_a_config_error(argv, config_path, in_tmp_path):
     command, *flags = argv
-    assert cli.main([command, config_path, *flags, "--out", str(tmp_path)]) == 2
-    assert list(tmp_path.glob("*.csv")) == []
+    assert cli.main([command, config_path, *flags]) == 2
+    assert list(in_tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--seed", "5"],
+        ["audit", "--alpha", "0.5", "--seed", "5"],
+        ["cell", "--alpha", "0.5", "--out", "d"],
+        ["cell", "--alpha", "0.5", "--seed", "0"],
+        ["audit", "--alpha", "0.5", "--sample-e", "1"],
+        ["sweep", "--par", "1"],
+    ],
+    ids=["sweep_seed", "audit_seed", "cell_out", "cell_seed", "audit_prefix", "sweep_prefix"],
+)
+def test_removed_or_abbreviated_flag_exits_two_and_writes_nothing(
+    argv, config_path, in_tmp_path, capsys
+):
+    # base_seed comes from the config only, a cell's row from its stdout; a
+    # prefix of a flag, such as --seed for --seed-index, is never accepted
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, config_path, *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+    assert list(in_tmp_path.rglob("*.csv")) == []
 
 
 @pytest.mark.parametrize(
@@ -230,10 +271,26 @@ def test_bad_seed_or_alpha_flag_is_a_config_error(argv, config_path, tmp_path):
         ["--tol", "0"],
         ["--tol", "-0.02"],
         ["--tol", "inf"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
     ],
 )
 def test_fixed_point_bad_flag_is_a_config_error(flags):
     assert cli.main(["fixed-point", *flags]) == 2
+
+
+def test_fixed_point_prints_w_star_exactly(monkeypatch, capsys):
+    # past 1000 entries, and with 17 significant digits, every entry of
+    # w_star reads back bit for bit
+    w_star = np.random.default_rng(0).standard_normal(1001)
+    w_star[:3] = [0.1 + 0.2, -0.0, 5e-324]
+    report = FixedPointReport(w_star, 0.1 + 0.2, 0.0, 1000, 1000)
+    monkeypatch.setattr(cli, "fixed_point_check", lambda *args, **kwargs: report)
+    assert cli.main(["fixed-point"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("w_star: ")
+    printed = np.array([float(v) for v in line.removeprefix("w_star: ").split(",")])
+    assert printed.view(np.uint64).tolist() == w_star.view(np.uint64).tolist()
 
 
 def test_env_var_sets_output_directory(config_path, tmp_path, monkeypatch):
@@ -244,25 +301,24 @@ def test_env_var_sets_output_directory(config_path, tmp_path, monkeypatch):
 
 
 def test_cell_prints_header_and_row(config_path, capsys):
-    code = cli.main(["cell", config_path, "--alpha", "0.5", "--seed", "0"])
+    code = cli.main(["cell", config_path, "--alpha", "0.5", "--seed-index", "0"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == SWEEP_HEADER
     assert out[1].startswith("cart_pole,sarsa_implicit,0.5,0,")
 
 
-
-def test_cell_out_writes_the_sweep_row(tmp_path):
-    # cell.csv is the header plus the row run_sweep writes for that cell
+def test_cell_out_writes_the_sweep_row(tmp_path, capsys):
+    # a cell's stdout is the header plus the row run_sweep writes for that cell
     path = tmp_path / "two_seeds.cfg"
     path.write_text(CONFIG.replace("n_seeds = 1", "n_seeds = 2"))
-    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 0
-    assert cli.main(
-        ["cell", str(path), "--alpha", "0.5", "--seed", "1", "--out", str(tmp_path / "cell")]
-    ) == 0
-    header, _, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    assert row.startswith("cart_pole,sarsa_implicit,0.5,1,")
-    assert (tmp_path / "cell" / "cell.csv").read_bytes() == f"{header}\n{row}\n".encode()
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["cell", str(path), "--alpha", "0.5", "--seed-index", "1"]) == 0
+    header, _, row = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
+    assert row.startswith(b"cart_pole,sarsa_implicit,0.5,1,")
+    assert capsys.readouterr().out.encode() == header + row
+
 
 def test_audit_subcommand_writes_csv(config_path, tmp_path):
     code = cli.main(
@@ -317,15 +373,6 @@ def test_fixed_point_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "standard" in out and "implicit" in out
-
-
-def test_base_seed_override_changes_rows(config_path, tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["sweep", config_path, "--out", str(out_a)]) == 0
-    assert cli.main(["sweep", config_path, "--out", str(out_b), "--seed", "5"]) == 0
-    a = (out_a / "sweep.csv").read_text()
-    b = (out_b / "sweep.csv").read_text()
-    assert a != b
 
 
 # float values at and next to the ends of each key's range, where overflow and
@@ -389,7 +436,9 @@ def test_a_config_is_run_or_refused_and_never_exits_three(tmp_path_factory, draw
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["cell", str(path), "--alpha", repr(alpha), "--seed", str(seed_idx)])
+        code = cli.main(
+            ["cell", str(path), "--alpha", repr(alpha), "--seed-index", str(seed_idx)]
+        )
     assert code == (0 if accepted else 2), err.getvalue()
     if accepted:
         header, row = out.getvalue().splitlines()
