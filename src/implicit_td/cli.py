@@ -20,7 +20,6 @@ cannot be written is reported before any cell runs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -129,19 +128,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
-    if not 0.0 < args.gamma < 1.0:
-        raise ConfigError(f"--gamma must lie in (0, 1), got {args.gamma}")
-    if not 0.0 <= args.lam <= 1.0:
-        raise ConfigError(f"--lam must lie in [0, 1], got {args.lam}")
-    if args.states < 2:
-        raise ConfigError(f"--states must be >= 2, got {args.states}")
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    if args.tol is not None and not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-    disc = DiscountSpec(gamma=args.gamma, lam=args.lam)
+    try:
+        disc = DiscountSpec(gamma=args.gamma, lam=args.lam)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     report = fixed_point_check(
         args.states, args.seed, disc, args.steps, target_tol=args.tol
     )

@@ -97,6 +97,12 @@ def episode_seed(cell: int, episode_idx: int) -> int:
     return mix64(cell ^ (((episode_idx + 1) * _GOLDEN) & _MASK64))
 
 
+def _check_seed(name: str, value: int) -> None:
+    """mix64 masks to 64 bits, so a seed outside [0, 2**64) would alias one inside."""
+    if not 0 <= value <= _MASK64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 
@@ -150,8 +156,7 @@ class ExperimentConfig:
             raise ConfigError("fourier_order must be >= 0")
         if self.mrp_states < 2:
             raise ConfigError("mrp_states must be >= 2")
-        if not 0 <= self.base_seed <= _MASK64:
-            raise ConfigError("base_seed must be an unsigned 64-bit integer")
+        _check_seed("base_seed", self.base_seed)
         # negative scales are legal: they only mirror the reward range. The
         # reward range 2|s| must be finite, and so must the window mean's
         # partial sums, each at most |s| * eval_window: below half the
@@ -549,11 +554,11 @@ def run_cell(
     seed_idx: int,
     on_step: StepHook | None = None,
 ) -> SweepResult:
-    """Run one (alpha0, seed index) cell to completion or divergence."""
+    """Run one (alpha0, seed index) cell to completion or divergence. An
+    alpha0 not positive and finite, or a seed_idx outside [0, 2**64), is a ConfigError."""
     if not 0.0 < alpha0 < math.inf:
         raise ConfigError(f"alpha0 must be positive and finite, got {alpha0}")
-    if seed_idx < 0:
-        raise ConfigError(f"seed index must be >= 0, got {seed_idx}")
+    _check_seed("seed index", seed_idx)
     if config.algorithm.startswith("td_"):
         return _td_rows(config, [(alpha0, seed_idx)], on_step)[0]
 
@@ -801,8 +806,16 @@ def fixed_point_check(
     _process_pool), and the implicit learner, whose steps cost more, in this
     process. The pool is shut down before the function returns or raises.
     The report equals, bit for bit, one built from the two runs made one
-    after the other in this process.
+    after the other in this process. Arguments outside n_states >= 2, steps >= 1,
+    0 < target_tol < inf and 0 <= seed < 2**64 raise ConfigError before any work starts.
     """
+    if n_states < 2:
+        raise ConfigError(f"n_states must be >= 2, got {n_states}")
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if target_tol is not None and not 0.0 < target_tol < math.inf:
+        raise ConfigError(f"target_tol must be positive and finite, got {target_tol}")
+    _check_seed("seed", seed)
     mrp = random_chain_mrp(n_states, mix64(seed))
     w_star = td_fixed_point_oracle(mrp, disc)
     target = None if target_tol is None else (w_star, target_tol)

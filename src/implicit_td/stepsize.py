@@ -37,8 +37,8 @@ class StepSizeSchedule:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
-        if not self.alpha0 > 0.0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if not 0.0 < self.alpha0 < np.inf:
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
         self.alpha_current = self.alpha0
 
 

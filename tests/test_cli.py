@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicit_td import cli, harness
-from implicit_td.core import DimensionMismatchError
+from implicit_td.core import DimensionMismatchError, DiscountSpec
 from implicit_td.harness import (
     ALGORITHMS,
     DOMAINS,
     SWEEP_HEADER,
     ConfigError,
     FixedPointReport,
+    fixed_point_check,
     parse_config_text,
 )
 
@@ -225,6 +226,8 @@ def test_reward_scale_too_large_for_the_window_is_a_config_error_for_cell(
         ["cell", "--alpha", "inf", "--seed-index", "0"],
         ["sweep", "--parallelism", "0"],
         ["audit", "--alpha", "0.5", "--sample-every", "0"],
+        ["cell", "--alpha", "0.5", "--seed-index", str(2**64)],
+        ["audit", "--alpha", "0.5", "--seed-index", str(2**64)],
     ],
 )
 def test_bad_seed_or_alpha_flag_is_a_config_error(argv, config_path, in_tmp_path):
@@ -277,6 +280,67 @@ def test_removed_or_abbreviated_flag_exits_two_and_writes_nothing(
 )
 def test_fixed_point_bad_flag_is_a_config_error(flags):
     assert cli.main(["fixed-point", *flags]) == 2
+
+
+# each fixed-point argument's values at the ends of its range (within) and
+# just past them (beyond); None is --tol left out
+_FIXED_POINT_VALUES = {
+    "states": (st.integers(2, 6), st.integers(-1, 1)),
+    "steps": (st.integers(1, 2_000), st.integers(-1, 0)),
+    "tol": (
+        st.sampled_from([None, 5e-324, 0.02, 1e300]),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -0.02]),
+    ),
+    "seed": (
+        st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        st.sampled_from([-1, 2**64, 2**64 + 1]) | st.integers(max_value=-1)
+        | st.integers(min_value=2**64),
+    ),
+    "gamma": (
+        st.sampled_from([5e-324, 0.8, math.nextafter(1.0, 0.0)]),
+        st.sampled_from([0.0, -5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan]),
+    ),
+    "lam": (
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([-5e-324, math.nextafter(1.0, 2.0), math.nan]),
+    ),
+}
+
+
+@st.composite
+def fixed_point_arguments(draw):
+    """(states, steps, tol, seed, gamma, lam), most within their ranges and a
+    drawn few (often none) just past them, so both outcomes are drawn."""
+    beyond = draw(st.sets(st.sampled_from(sorted(_FIXED_POINT_VALUES)), max_size=2))
+    return tuple(draw(values[name in beyond]) for name, values in _FIXED_POINT_VALUES.items())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(fixed_point_arguments())
+def test_fixed_point_flags_and_api_agree(args):
+    # the subcommand refuses exactly what DiscountSpec and fixed_point_check
+    # refuse, and otherwise prints the report the function returns
+    states, steps, tol, seed, gamma, lam = args
+    try:
+        report = fixed_point_check(states, seed, DiscountSpec(gamma, lam), steps, tol)
+    except ValueError:  # ConfigError from fixed_point_check, ValueError from DiscountSpec
+        report = None
+    argv = ["fixed-point", f"--states={states}", f"--steps={steps}", f"--seed={seed}",
+            f"--gamma={gamma!r}", f"--lam={lam!r}"]
+    if tol is not None:
+        argv.append(f"--tol={tol!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if report is None:
+        assert (code, out.getvalue()) == (2, ""), err.getvalue()
+    else:
+        assert code == 0, err.getvalue()
+        assert out.getvalue() == (
+            f"w_star: {','.join(map(repr, report.w_star.tolist()))}\n"
+            f"standard: err={report.err_standard!r} steps={report.steps_standard}\n"
+            f"implicit: err={report.err_implicit!r} steps={report.steps_implicit}\n"
+        )
 
 
 def test_fixed_point_prints_w_star_exactly(monkeypatch, capsys):

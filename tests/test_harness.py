@@ -251,6 +251,9 @@ def test_run_cell_rejects_bad_cell_coordinates():
         run_cell(cfg, math.inf, 0)
     with pytest.raises(ConfigError):
         run_cell(cfg, 0.5, -1)
+    # a seed index past 64 bits would alias the cell of a smaller one
+    with pytest.raises(ConfigError):
+        run_cell(cfg, 0.5, 2**64)
 
 
 def test_run_sweep_row_count_and_order(tmp_path, capsys):
@@ -958,6 +961,37 @@ def test_fixed_point_check_equals_two_in_process_runs(case):
             assert done < steps and err <= target_tol
 
 
+@pytest.mark.parametrize(
+    "n_states, seed, steps, target_tol",
+    [
+        (1, 0, 2_000, None),
+        (5, 0, 0, None),
+        (5, 0, 2_000, math.nan),
+        (5, 0, 2_000, 0.0),
+        (5, 0, 2_000, -0.02),
+        (5, 0, 2_000, math.inf),
+        (5, -1, 2_000, None),
+        (5, 2**64, 2_000, None),
+        (5, 2**64 + 1, 2_000, None),
+    ],
+    ids=["states_1", "steps_0", "tol_nan", "tol_0", "tol_negative", "tol_inf",
+         "seed_negative", "seed_2_64", "seed_2_64_plus_1"],
+)
+def test_fixed_point_check_refuses_bad_arguments_before_any_work(
+    n_states, seed, steps, target_tol, monkeypatch
+):
+    # the values the fixed-point subcommand refuses, refused by the function
+    # itself before it builds the chain or starts its pool
+    def never(*args, **kwargs):
+        raise AssertionError("called before the arguments were checked")
+
+    monkeypatch.setattr(harness, "random_chain_mrp", never)
+    monkeypatch.setattr(harness, "_process_pool", never)
+    disc = DiscountSpec(gamma=0.8, lam=0.5)
+    with pytest.raises(ConfigError):
+        fixed_point_check(n_states, seed, disc, steps, target_tol=target_tol)
+
+
 def _child_pids():
     """Every live child process of this one, whatever started it, read from
     Linux's /proc (empty elsewhere)."""
@@ -968,7 +1002,7 @@ def _child_pids():
     }
 
 
-def test_fixed_point_check_leaves_no_process_behind():
+def test_fixed_point_check_leaves_no_process_behind(monkeypatch):
     # the pool is shut down on return and on raise; a pool started by another
     # method than fork would leave multiprocessing's resource tracker (spawn)
     # or its fork server running, which the /proc read sees
@@ -976,7 +1010,17 @@ def test_fixed_point_check_leaves_no_process_behind():
     fixed_point_check(5, 0, disc, 3_000)
     assert multiprocessing.active_children() == []
     assert _child_pids() == set()
-    with pytest.raises(ValueError, match="total_steps must be >= 0, got -1"):
+    # a raise in both legs while the pool runs: the forked worker inherits the patch
+    def induced(*args, **kwargs):
+        raise RuntimeError("induced")
+
+    monkeypatch.setattr(harness, "run_td_evaluation", induced)
+    with pytest.raises(RuntimeError, match="induced"):
+        fixed_point_check(5, 0, disc, 3_000)
+    assert multiprocessing.active_children() == []
+    assert _child_pids() == set()
+    # a bad argument is refused before any pool starts
+    with pytest.raises(ConfigError, match="steps must be >= 1, got -1"):
         fixed_point_check(5, 0, disc, -1)
     assert multiprocessing.active_children() == []
     assert _child_pids() == set()

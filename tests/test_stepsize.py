@@ -1,5 +1,7 @@
 """Schedule behavior: constant, polynomial decay, adaptive bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ def test_schedule_validation():
         make_schedule("warmup", 0.1)
     with pytest.raises(ValueError):
         make_schedule("constant", 0.0)
+    with pytest.raises(ValueError):
+        make_schedule("constant", math.inf)
 
 
 def test_constant_every_step():
