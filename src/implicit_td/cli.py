@@ -12,8 +12,8 @@ Subcommands:
 base_seed comes from the config file only; `cell` and `audit` pick a cell
 by --alpha and --seed-index, and no flag may be abbreviated. Output
 directory of sweep and audit: --out flag, else the IMPLICIT_TD_OUT
-environment variable, else the working directory. An output file that
-cannot be written is reported before any cell runs. Exit codes: 0 success,
+environment variable, else the working directory, made only to write the
+CSV; a refused run leaves nothing behind. Exit codes: 0 success,
 2 configuration error, 3 internal error.
 """
 
@@ -91,21 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_file(flag_value: str | None, name: str) -> Path:
-    """The output file `name` in the output directory, which is created.
-    A file that cannot be written is a ConfigError here, before any work
-    runs: a directory in its place, or an existing file (else its
-    directory) that os.access reports as not writable. No file is created."""
-    directory = Path(flag_value or os.environ.get("IMPLICIT_TD_OUT") or ".")
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot use output directory {directory}: {err}") from None
-    path = directory / name
-    if path.is_dir():
-        raise ConfigError(f"cannot write {path}: it is a directory")
-    if not os.access(path if path.exists() else directory, os.W_OK):
-        raise ConfigError(f"cannot write {path}: not writable")
-    return path
+    return Path(flag_value or os.environ.get("IMPLICIT_TD_OUT") or ".") / name
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -688,10 +688,12 @@ def run_sweep(
     _evaluate_rows): as one batch in this process, or as one strided batch
     per worker, worker i taking grid[i::workers]. A sarsa_* grid runs cell
     by cell. Either way every row equals run_cell's for its cell, and rows
-    come out sorted by (alpha0, seed index).
+    come out sorted by (alpha0, seed index). An out_path that cannot be
+    written is a ConfigError before any cell runs (see _check_out_path).
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    _check_out_path(out_path)
     grid = sorted(
         (alpha0, idx)
         for alpha0 in config.alpha0_grid
@@ -727,11 +729,12 @@ def stability_audit_run(
     (a rejected candidate step counts too) into one audit.csv row: a (step,
     StabilityReport) pair, step counting attempted transitions from 1.
 
-    An alpha0 whose audit values overflow float64 is a ConfigError when the
-    rows are to be written; out_path is then left unwritten.
+    out_path is checked as in run_sweep. An alpha0 whose audit values overflow
+    float64 is a ConfigError when the rows are written; nothing is then made.
     """
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
+    _check_out_path(out_path)
     # a read-only 0-d array, as _evaluate_rows makes its trace decay
     gamma = np.array(config.gamma)
     gamma.flags.writeable = False
@@ -837,12 +840,29 @@ def fixed_point_check(
 # CSV emission
 
 
+def _check_out_path(out_path: str | Path | None) -> None:
+    """Refuse, creating nothing, an out_path that is a directory, whose nearest
+    existing parent is no directory, or that os.access says is not writable."""
+    if out_path is None:
+        return
+    path = Path(out_path)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not (existing == path or existing.is_dir()):
+        raise ConfigError(f"cannot write {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK):
+        raise ConfigError(f"cannot write {path}: {existing} is not writable")
+
+
 def _write_csv(
     header: str, format_row: Callable[[object], str], rows: list, path: str | Path
 ) -> None:
+    """Format every row before making any directory, so a refused row makes none."""
     lines = [header]
     lines.extend(map(format_row, rows))
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err}") from None

@@ -1,13 +1,16 @@
 """Exit codes, output routing, and subcommand plumbing."""
 
 import contextlib
+import dataclasses
 import io
 import math
+import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from implicit_td import cli, harness
@@ -19,7 +22,11 @@ from implicit_td.harness import (
     ConfigError,
     FixedPointReport,
     fixed_point_check,
+    float_bits,
     parse_config_text,
+    run_cell,
+    run_sweep,
+    stability_audit_run,
 )
 
 CONFIG = """
@@ -104,12 +111,12 @@ def test_config_with_a_utf8_bom_runs_as_without_it(config_path, tmp_path, capsys
 def test_output_file_that_cannot_be_written_is_a_config_error(
     argv, name, config_path, tmp_path, capsys, monkeypatch
 ):
-    # found before any work runs or anything is printed
+    # found inside the harness before any cell runs or anything is printed
     def never(*args, **kwargs):
         raise AssertionError("ran before the output file was checked")
 
-    for runner in ("run_sweep", "stability_audit_run"):
-        monkeypatch.setattr(cli, runner, never)
+    for runner in ("_batch_worker", "run_cell"):
+        monkeypatch.setattr(harness, runner, never)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)  # a directory where the CSV file goes
     command, *flags = argv
@@ -123,7 +130,7 @@ def test_output_file_that_access_refuses_is_a_config_error(
     config_path, tmp_path, capsys, monkeypatch
 ):
     # os.access stands in for a read-only file, which root could still write
-    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    monkeypatch.setattr(harness.os, "access", lambda path, mode: False)
     existing = tmp_path / "sweep.csv"
     existing.write_text("kept\n")
     assert cli.main(["sweep", config_path, "--out", str(tmp_path)]) == 2
@@ -414,13 +421,14 @@ def _audit_config(tmp_path, domain):
 @pytest.mark.parametrize("domain", ["cart_pole", "puddle_world"])
 def test_audit_that_overflows_float64_is_a_config_error(domain, alpha, tmp_path, capsys):
     # the standard pair's alpha^2 |e|^2 |d|^2 overflows (at 1e308 the
-    # discriminant is inf - inf); the whole cell runs before the CSV refuses
+    # discriminant is inf - inf); the whole cell runs before the CSV refuses,
+    # and the output directory is not made
     out = tmp_path / "out"
     argv = ["audit", _audit_config(tmp_path, domain), "--alpha", alpha, "--sample-every", "1"]
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: alpha0 ") and "overflow" in err
-    assert not (out / "audit.csv").exists()
+    assert not out.exists()
 
 
 def test_audit_at_a_large_alpha_that_stays_finite_writes_csv(tmp_path):
@@ -512,3 +520,150 @@ def test_a_config_is_run_or_refused_and_never_exits_three(tmp_path_factory, draw
             assert math.isfinite(float(named[name]))
     else:
         assert out.getvalue() == ""
+
+
+# --- every subcommand's exit contract
+
+# each end of a flag's range, then just past it; a cell runs at most 60
+# steps, so --sample-every=61 audits none of them
+_SEED_INDICES = [0, 2**64 - 1, -1, 2**64]
+_SAMPLE_EVERY = [1, 2, 61, 0, -1]
+# a runnable 50-step cell, for the refusals that must always be tried
+_SHORT_CELL = CONFIG.replace(
+    "total_steps = 120\neval_window = 60", "total_steps = 50\neval_window = 50"
+)
+
+
+@st.composite
+def subcommand_arguments(draw):
+    """A subcommand and its arguments: a config text from config_texts for
+    sweep, audit and cell, fixed_point_arguments for fixed-point, and the
+    other flags drawn inside or just outside their ranges."""
+    command = draw(st.sampled_from(["sweep", "audit", "cell", "fixed-point"]))
+    if command == "fixed-point":
+        return command, draw(fixed_point_arguments())
+    text, alpha, _ = draw(config_texts())
+    if command == "sweep":
+        return command, (text, draw(st.integers(-1, 2)))
+    if draw(st.integers(0, 3)) == 0:  # an alpha0 outside (0, inf)
+        alpha = draw(st.sampled_from([0.0, -0.5, math.inf, math.nan]))
+    seed_idx = draw(st.sampled_from(_SEED_INDICES) | st.integers(0, 3))
+    if command == "cell":
+        return command, (text, alpha, seed_idx)
+    return command, (text, alpha, seed_idx, draw(st.sampled_from(_SAMPLE_EVERY)))
+
+
+def _assert_parses_back(line, values):
+    # a CSV row or a printed list: every float reads back bit for bit
+    fields = line.split(",")
+    assert len(fields) == len(values), line
+    for text, value in zip(fields, values):
+        if isinstance(value, float):
+            assert float_bits(float(text)) == float_bits(value), (text, value)
+
+
+def _run_in(work, argv):
+    """main(argv) run in the directory work with IMPLICIT_TD_OUT unset:
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("IMPLICIT_TD_OUT", None)
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(subcommand_arguments())
+# refusals that come only after the output directory is named: of a flag,
+# of the cell's arguments, and at 1e308 of audit values the whole cell made
+@example(drawn=("sweep", (_SHORT_CELL, 0)))
+@example(drawn=("audit", (_SHORT_CELL, math.inf, 0, 1)))
+@example(drawn=("audit", (_SHORT_CELL, 0.5, 0, 0)))
+@example(drawn=("audit", (_SHORT_CELL, 0.5, -1, 1)))
+@example(drawn=("audit", (_SHORT_CELL, 1e308, 0, 1)))
+def test_every_subcommand_writes_what_the_api_returns_or_exits_two_leaving_nothing(
+    tmp_path_factory, drawn
+):
+    # a run the Python API refuses exits 2, prints nothing to stdout and
+    # creates nothing; any other exits 0, and its outputs are the API's
+    command, args = drawn
+    api_dir, work = tmp_path_factory.mktemp("api"), tmp_path_factory.mktemp("work")
+    if command == "fixed-point":
+        states, steps, tol, seed, gamma, lam = args
+        argv = ["fixed-point", f"--states={states}", f"--steps={steps}", f"--seed={seed}",
+                f"--gamma={gamma!r}", f"--lam={lam!r}"]
+        if tol is not None:
+            argv.append(f"--tol={tol!r}")
+    else:
+        config_path = api_dir / "run.cfg"
+        config_path.write_text(args[0])
+        argv = [command, str(config_path)]
+        if command == "sweep":
+            argv.append(f"--parallelism={args[1]}")
+        else:
+            argv += [f"--alpha={args[1]!r}", f"--seed-index={args[2]}"]
+        if command == "audit":
+            argv.append(f"--sample-every={args[3]}")
+        if command in ("sweep", "audit"):
+            argv += ["--out", os.path.join("fresh", "deep")]
+    # the API's run of the same arguments: its stdout lines and their values,
+    # and its CSV with its rows' values; None if it refuses
+    csv_name = f"{command}.csv"
+    try:
+        if command == "fixed-point":
+            report = fixed_point_check(states, seed, DiscountSpec(gamma, lam), steps, tol)
+            printed = [
+                ("w_star: ", report.w_star.tolist()),
+                ("standard: ", [report.err_standard, report.steps_standard]),
+                ("implicit: ", [report.err_implicit, report.steps_implicit]),
+            ]
+            csv_rows = None
+        else:
+            config = parse_config_text(args[0])
+            api_csv = api_dir / csv_name
+            if command == "sweep":
+                results = run_sweep(config, args[1], out_path=api_csv)
+                csv_rows = [dataclasses.astuple(r) for r in results]
+                n_diverged = sum(r.diverged for r in results)
+                printed = f"({len(results)} rows, {n_diverged} diverged)"
+            elif command == "audit":
+                result, rows = stability_audit_run(config, *args[1:], out_path=api_csv)
+                csv_rows = [(step, *dataclasses.astuple(report)) for step, report in rows]
+                printed = f"({len(rows)} rows, diverged={str(result.diverged).lower()})"
+            else:
+                row = run_cell(config, args[1], args[2])
+                printed = [("", dataclasses.astuple(row))]
+                csv_rows = None
+    except ValueError:  # ConfigError, or ValueError from DiscountSpec
+        printed = None
+    code, out, err = _run_in(work, argv)
+    created = sorted(p.relative_to(work).as_posix() for p in work.rglob("*"))
+    if printed is None:
+        assert (code, out, created) == (2, "", []), err
+        return
+    assert code == 0, err
+    if csv_rows is None:
+        assert created == []
+        lines = out.splitlines()
+        if command == "cell":
+            assert lines.pop(0) == SWEEP_HEADER
+        assert len(lines) == len(printed)
+        for line, (prefix, values) in zip(lines, printed):
+            assert line.startswith(prefix)
+            fields = line.removeprefix(prefix).replace(" steps=", ",")
+            _assert_parses_back(fields.removeprefix("err="), values)
+    else:
+        written = work / "fresh" / "deep" / csv_name
+        assert created == ["fresh", "fresh/deep", f"fresh/deep/{csv_name}"]
+        assert out == f"wrote {written.relative_to(work)} {printed}\n"
+        assert written.read_bytes() == api_csv.read_bytes()
+        _, *lines = written.read_text().splitlines()
+        assert len(lines) == len(csv_rows)
+        for line, values in zip(lines, csv_rows):
+            _assert_parses_back(line, values)

@@ -6,6 +6,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -307,6 +308,40 @@ def test_sweep_csv_bytes_stable(tmp_path):
     run_sweep(cfg, parallelism=1, out_path=p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()  # LF only
+
+
+def _run_to(out_path, run):
+    """What `run` writes at out_path: "sweep" runs run_sweep, "audit"
+    stability_audit_run, each on a short cart_pole config."""
+    cfg = tiny_config(total_steps=60, eval_window=30)
+    if run == "sweep":
+        run_sweep(cfg, parallelism=1, out_path=out_path)
+    else:
+        stability_audit_run(cfg, 0.5, 0, sample_every=10, out_path=out_path)
+
+
+@pytest.mark.parametrize("run", ["sweep", "audit"])
+def test_out_path_in_missing_directories_makes_them_and_writes_the_same_bytes(
+    run, tmp_path
+):
+    flat, nested = tmp_path / f"{run}.csv", tmp_path / "a" / "b" / f"{run}.csv"
+    _run_to(flat, run)
+    _run_to(nested, run)
+    assert nested.read_bytes() == flat.read_bytes()
+
+
+@pytest.mark.parametrize("run", ["sweep", "audit"])
+def test_out_path_that_is_a_directory_is_refused_before_any_cell(run, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output file was checked")
+
+    for runner in ("_batch_worker", "run_cell"):
+        monkeypatch.setattr(harness, runner, never)
+    out = tmp_path / f"{run}.csv"
+    out.mkdir()
+    with pytest.raises(ConfigError, match="^" + re.escape(f"cannot write {out}: ")):
+        _run_to(out, run)
+    assert list(tmp_path.rglob("*")) == [out]
 
 
 def test_format_row_uses_repr_floats_and_lowercase_bools():
@@ -849,6 +884,18 @@ def test_audit_rows_schema_and_ratio(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == AUDIT_HEADER
     assert len(lines) == len(rows) + 1
+
+
+def test_audit_that_overflows_makes_no_directory(tmp_path):
+    # the whole cell runs before its rows are refused; the directory is made
+    # only when the rows are written, as at a finite alpha0 afterwards
+    cfg = tiny_config(total_steps=50, eval_window=25)
+    out = tmp_path / "fresh" / "audit.csv"
+    with pytest.raises(ConfigError, match="too large to audit"):
+        stability_audit_run(cfg, 1e308, 0, sample_every=1, out_path=out)
+    assert not (tmp_path / "fresh").exists()
+    stability_audit_run(cfg, 0.5, 0, sample_every=1, out_path=out)
+    assert out.read_text().startswith(AUDIT_HEADER + "\n1,")
 
 
 @pytest.mark.parametrize("domain", ["cart_pole", "puddle_world"])
