@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Transition, update_trace
 from .envs import DiscreteActionEnv
-from .learners import TdLearnerState, td_step_implicit, td_step_standard
+from .learners import DIVERGENCE_THRESHOLD, TdLearnerState, td_step_implicit, td_step_standard
 from .stepsize import StepSizeSchedule, next_alpha, reset_schedule
 
 # hook called after each learner step with (transition, alpha, e): e is the
@@ -86,7 +86,7 @@ def sarsa_episode(
         return EpisodeStats(0.0, 0, False)
     rng = np.random.default_rng((seed, 1))
     disc = learner.disc
-    gamma = disc.gamma
+    gamma = disc.gamma_0d  # next_alpha's alpha_bound multiplies phi' by it
     step_fn = td_step_implicit if implicit else td_step_standard
     reset_schedule(schedule)  # the adaptive bound is episode-scoped, like the trace
     learner.trace = np.zeros(learner.k)  # the one reset: a terminal step keeps its e
@@ -120,7 +120,8 @@ def sarsa_episode(
         step_fn(learner, tr, alpha, e)
         if on_step is not None:
             on_step(tr, alpha, e)
-        # == is >= here: steps counts up by one from 1, max_steps is >= 1
-        if done or steps == max_steps or learner.diverged:
+        # == is >= here: steps counts up by one from 1, max_steps is >= 1;
+        # the max_abs test is learner.diverged without the property call
+        if done or steps == max_steps or learner.max_abs > DIVERGENCE_THRESHOLD:
             return EpisodeStats(total, steps, done)
         sphi = sphi_next

@@ -90,7 +90,9 @@ class FiniteMrp:
     where P > 0) so the stationary distribution is unique. It is checked by
     two breadth-first searches from state 0, one along the edges and one
     against them: the graph is strongly connected exactly when both reach
-    every state. n_states is P's row count, set here.
+    every state. n_states is P's row count, set here; cdf_rows, set after
+    validation, holds the running sums of P's rows and of xi0, each ending
+    at 1.0: the inverse-CDF rows sample_state_path reads.
     """
 
     p: np.ndarray
@@ -98,6 +100,7 @@ class FiniteMrp:
     xi0: np.ndarray
     features: np.ndarray
     n_states: int = field(init=False)
+    cdf_rows: list[list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.p.shape[0] if self.p.ndim else 0  # a 0-d P fails as 0x0
@@ -116,6 +119,9 @@ class FiniteMrp:
             raise ValueError("xi0 must sum to 1")
         if not _strongly_connected(self.p > 0.0):
             raise ValueError("transition graph must be strongly connected")
+        cdf = np.cumsum(np.vstack([self.p, self.xi0]), axis=1)
+        cdf[:, -1] = 1.0
+        object.__setattr__(self, "cdf_rows", cdf.tolist())
 
 
 def _strongly_connected(edges: np.ndarray) -> bool:
@@ -181,10 +187,7 @@ def sample_state_path(
         raise ValueError(f"length must be >= 0, got {length}")
     if start is not None and not 0 <= start < n:
         raise ValueError(f"start must lie in [0, {n}), got {start}")
-    # row n is xi0, the predecessor row of a path's first state
-    cdf = np.cumsum(np.vstack([mrp.p, mrp.xi0]), axis=1)
-    cdf[:, -1] = 1.0
-    rows = cdf.tolist()
+    rows = mrp.cdf_rows  # row n is xi0, the predecessor row of a path's first state
     s = n if start is None else start
     path = [s := bisect_right(rows[s], u) for u in rng.random(length).tolist()]
     return np.array(path, dtype=np.int64)

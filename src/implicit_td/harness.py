@@ -438,12 +438,15 @@ def _evaluate_rows(
     rows = [_PathRow(rng, [sample_state_path(mrp, 1, rng)]) for rng in rngs]
     starts = [int(row.visited[0][0]) for row in rows]
     if single:
+        # floats: 0-d operands would make every later scalar a numpy scalar
+        gamma, decay = disc.gamma, disc.trace_decay
         alpha = schedule.alpha0
         s = starts[0]
         # list lookups of row views and floats: faster than indexing the arrays
         phi_of = list(mrp.features).__getitem__
         reward_of = mrp.r.tolist().__getitem__
     else:
+        gamma, decay = disc.gamma_0d, disc.trace_decay_0d  # times (B, 1) columns
         alpha = np.array([[sched.alpha0] for sched in schedules])
         s = np.array(starts)
         # take() gathers rows faster than fancy indexing does
@@ -454,13 +457,7 @@ def _evaluate_rows(
     w = np.zeros_like(phi2)
     e = np.zeros_like(phi2)
     step = implicit_step if implicit else standard_step
-    gamma = disc.gamma
-    decay = disc.trace_decay
-    # the trace update's operand as a read-only 0-d array, made once: an
-    # array times it skips the conversion a Python float costs per call. The
-    # kernels keep the float: a 0-d operand would make their scalars numpy's
-    decay_0d = np.array(decay)
-    decay_0d.flags.writeable = False
+    decay_0d = disc.trace_decay_0d  # the trace update's operand
     live = rows
     steps_done = 0
     # a diverging run keeps stepping on overflowed weights until the next
@@ -735,9 +732,7 @@ def stability_audit_run(
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     _check_out_path(out_path)
-    # a read-only 0-d array, as _evaluate_rows makes its trace decay
-    gamma = np.array(config.gamma)
-    gamma.flags.writeable = False
+    gamma = config.disc.gamma_0d
     rows: list[tuple[int, StabilityReport]] = []
     count = 0
 

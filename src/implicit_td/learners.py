@@ -23,9 +23,12 @@ the fresh trace e the caller hands them, which an accepted step stores.
 Both kernels are rank-polymorphic. On one (k,) row, reward and alpha are
 floats and every inner product is an ndarray.dot call, which reaches BLAS
 ddot without the matmul operator's per-call dispatch. On a (B, k) stack of
-rows stepping in lockstep, reward and alpha are (B, 1) columns and the inner
-products are np.vecdot over the rows, which makes the same ddot call once
-per row. So each row of a stack comes out bit for bit as its own 1-D call.
+rows stepping in lockstep, reward and alpha are (B, 1) columns, gamma and
+decay are the spec's read-only 0-d arrays, and the inner products are
+np.vecdot over the rows, which makes the same ddot call once per row. So
+each row of a stack comes out bit for bit as its own 1-D call. A kernel
+builds w' in place in one fresh array, with the bits of w + c*e, since IEEE
+multiplication and addition commute.
 
 Divergence contract, applied inside the one checked step (_td_step) that
 both wrappers call: each candidate's max-abs (abs_max, NaN when any entry
@@ -104,7 +107,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 def standard_step(
     w: np.ndarray, e_prev: np.ndarray, e: np.ndarray, phi: np.ndarray,
     phi_next: np.ndarray, reward: float | np.ndarray, alpha: float | np.ndarray,
-    gamma: float, decay: float, terminal: bool,
+    gamma: float | np.ndarray, decay: float | np.ndarray, terminal: bool,
 ) -> np.ndarray:
     """Standard TD(lambda) kernel on plain arrays, without validation:
     returns w'. `e` is the fresh trace decay*e_prev + phi, with `decay` =
@@ -114,13 +117,15 @@ def standard_step(
     `terminal` applies to every row."""
     bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
     delta = reward + bootstrap - _row_dot(phi, w)
-    return w + (alpha * delta) * e
+    u = e * (alpha * delta)  # w + (alpha*delta)*e in one fresh array
+    u += w
+    return u
 
 
 def implicit_step(
     w: np.ndarray, e_prev: np.ndarray, e: np.ndarray, phi: np.ndarray,
     phi_next: np.ndarray, reward: float | np.ndarray, alpha: float | np.ndarray,
-    gamma: float, decay: float, terminal: bool,
+    gamma: float | np.ndarray, decay: float | np.ndarray, terminal: bool,
 ) -> np.ndarray:
     """Implicit TD(lambda) kernel via the rank-one inverse: returns w'.
     Arguments take the shapes standard_step takes; this rule reads e_prev
@@ -134,9 +139,11 @@ def implicit_step(
     """
     bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
     bracket = reward + bootstrap + decay * _row_dot(e_prev, w)
-    u = w + (alpha * bracket) * e
+    u = e * (alpha * bracket)  # u and then w' in one fresh array
+    u += w
     shrink = alpha / (1.0 + alpha * _row_dot(e, e))
-    return u - (shrink * _row_dot(e, u)) * e
+    u -= e * (shrink * _row_dot(e, u))
+    return u
 
 
 def _td_step(
@@ -148,11 +155,13 @@ def _td_step(
     (abs_max is NaN when any entry is)."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if state.diverged:
+    if state.max_abs > DIVERGENCE_THRESHOLD:  # state.diverged without the property call
         return
     phi = tr.phi_t
-    check_same_length(state.weights, phi)
-    check_same_length(e, phi)
+    if state.weights.shape != phi.shape:
+        check_same_length(state.weights, phi)
+    if e.shape != phi.shape:
+        check_same_length(e, phi)
     disc = state.disc
     w_new = kernel(
         state.weights, state.trace, e, phi, tr.phi_next, tr.reward,

@@ -48,7 +48,8 @@ class TransitionGeometry:
     e_dot_d: float = field(init=False)
 
     def __post_init__(self) -> None:
-        check_same_length(self.e, self.d)
+        if self.e.shape != self.d.shape:
+            check_same_length(self.e, self.d)
         if self.e.shape[0] < 2:
             raise ValueError(
                 "geometry needs k >= 2 (the gain matrix has k-2 unit "

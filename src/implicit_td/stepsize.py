@@ -57,14 +57,14 @@ def next_alpha(
     e: np.ndarray,
     phi_t: np.ndarray,
     phi_next: np.ndarray,
-    gamma: float,
+    gamma: float | np.ndarray,
 ) -> float:
     """Step size for the upcoming update.
 
     ``e`` must be the trace entering the update (the post-decay e_t), since
     the alpha_bound curvature test e.(gamma*phi_next - phi_t) is taken
     against the direction the update will actually move in. Only
-    alpha_bound reads it.
+    alpha_bound reads it, and gamma (SARSA passes DiscountSpec.gamma_0d).
 
     For alpha_bound the returned value is the bound in force *before* this
     transition is folded in: the cap a transition generates applies from the

@@ -1,5 +1,8 @@
 """Vector plumbing and the trace recursion."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,28 @@ def test_discount_spec_bounds():
     DiscountSpec(gamma=0.9, lam=1.0)
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("gamma,lam", [(0.9, 0.5), (0.99, 1.0), (0.1, 0.0), (0.95, 0.7)])
+def test_discount_spec_owns_read_only_0d_operands_and_round_trips_through_pickle(gamma, lam):
+    spec = DiscountSpec(gamma=gamma, lam=lam)
+    # the worker of fixed_point_check receives a pickled spec; copies go the same way
+    for got in (spec, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert _bits(got.gamma) == _bits(gamma) and _bits(got.lam) == _bits(lam)
+        assert _bits(got.trace_decay) == _bits(gamma * lam)
+        for operand, value in ((got.gamma_0d, gamma), (got.trace_decay_0d, gamma * lam)):
+            assert operand.shape == () and operand.dtype == np.float64
+            assert operand.tobytes() == _bits(value)
+            assert not operand.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                operand[()] = 0.5
+        assert got == spec and hash(got) == hash(spec)
+        assert repr(got) == f"DiscountSpec(gamma={gamma!r}, lam={lam!r})"
+    assert spec != DiscountSpec(gamma=gamma, lam=0.25)
+
+
 def test_update_trace_zero_trace_passthrough():
     d = DiscountSpec(gamma=0.9, lam=0.5)
     out = update_trace(np.zeros(2), np.array([1.0, 2.0]), d)
@@ -49,7 +74,7 @@ def test_update_trace_hand_value():
 
 def test_update_trace_length_mismatch():
     d = DiscountSpec(gamma=0.9, lam=0.5)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"^vector lengths differ: 2 vs 3$"):
         update_trace(np.zeros(2), np.zeros(3), d)
 
 
@@ -97,7 +122,7 @@ def test_update_trace_is_decay_times_trace_plus_phi_bit_for_bit(drawn):
 def test_transition_validation():
     tr = Transition(phi_t=np.ones(2), reward=1.0, phi_next=np.zeros(2))
     assert not tr.terminal
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"^vector lengths differ: 2 vs 3$"):
         Transition(phi_t=np.ones(2), reward=0.0, phi_next=np.zeros(3))
     with pytest.raises(ValueError):
         Transition(phi_t=np.ones(1), reward=float("nan"), phi_next=np.ones(1))

@@ -292,6 +292,20 @@ def test_bisect_walk_equals_searchsorted_walk(n):
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_inverse_cdf_rows_are_built_once_with_the_mrp(n, monkeypatch):
+    mrp = random_chain_mrp(n, seed=n)
+    cdf = np.cumsum(np.vstack([mrp.p, mrp.xi0]), axis=1)
+    cdf[:, -1] = 1.0
+    assert np.array(mrp.cdf_rows).tobytes() == cdf.tobytes()
+    assert "cdf_rows" not in repr(mrp)
+    want = _searchsorted_path(mrp, 2000, np.random.default_rng(n))
+    # sampling reads the rows; it builds no CDF of its own
+    monkeypatch.setattr(envs.np, "cumsum", None)
+    got = sample_state_path(mrp, 2000, np.random.default_rng(n))
+    assert np.array_equal(got, want)
+
+
 def test_bisect_walk_equals_searchsorted_walk_on_the_cycle():
     # the cycle's CDF rows are [0, 1] and [1, 1]: repeated values
     mrp = _two_cycle()

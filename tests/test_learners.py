@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from implicit_td.control import sarsa_episode
-from implicit_td.core import DiscountSpec, Transition, update_trace
+from implicit_td.core import DimensionMismatchError, DiscountSpec, Transition, update_trace
 from implicit_td.envs import (
     CART_EPISODE_CAP,
     CartPole,
@@ -326,7 +326,8 @@ def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
     # a (B, k) stack with (B, 1) reward and alpha columns, each row scaled by
     # 1e-3, 1 or 1e3 so that rows of very different size share one call
     rng = np.random.default_rng(1000 * k + batch)
-    gamma, decay = 0.95, 0.95 * 0.7
+    disc = DiscountSpec(gamma=0.95, lam=0.7)
+    gamma, decay = disc.gamma, disc.trace_decay
     for offset in range(3):
         scale = np.array([(1e-3, 1.0, 1e3)[(i + offset) % 3] for i in range(batch)])[:, None]
         w, e_prev, phi, phi_next = (scale * rng.normal(size=(batch, k)) for _ in range(4))
@@ -335,8 +336,10 @@ def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
         alpha = rng.uniform(1e-3, 2.0, size=(batch, 1))
         for kernel in (standard_step, implicit_step):
             for terminal in (False, True):
+                # a stack takes the 0-d operands, as _evaluate_rows hands them
                 w_new = kernel(
-                    w, e_prev, e, phi, phi_next, reward, alpha, gamma, decay, terminal
+                    w, e_prev, e, phi, phi_next, reward, alpha,
+                    disc.gamma_0d, disc.trace_decay_0d, terminal,
                 )
                 assert w_new.shape == (batch, k)
                 for i in range(batch):
@@ -345,6 +348,59 @@ def test_kernels_on_a_stack_equal_their_one_row_calls_bit_for_bit(k, batch):
                         float(alpha[i, 0]), gamma, decay, terminal,
                     )
                     assert w_new[i].tobytes() == w_row.tobytes(), (kernel.__name__, i)
+
+
+def _textbook_step(implicit, w, e_prev, e, phi, phi_next, reward, alpha, gamma, decay, terminal):
+    """w' as the kernels' docstrings write it, out of place."""
+    dot = (lambda a, b: float(a.dot(b))) if w.ndim == 1 else (
+        lambda a, b: np.vecdot(a, b, keepdims=True)
+    )
+    bootstrap = 0.0 if terminal else gamma * dot(phi_next, w)
+    if not implicit:
+        return w + (alpha * (reward + bootstrap - dot(phi, w))) * e
+    u = w + (alpha * (reward + bootstrap + decay * dot(e_prev, w))) * e
+    shrink = alpha / (1.0 + alpha * dot(e, e))
+    return u - (shrink * dot(e, u)) * e
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["row", "stack"])
+@pytest.mark.parametrize("k", [2, 64, 512])
+def test_in_place_kernels_equal_the_textbook_expressions_bit_for_bit(k, batch):
+    disc = DiscountSpec(gamma=0.95, lam=0.7)
+    rng = np.random.default_rng(7 * k)
+    shape = (k,) if batch is None else (batch, k)
+    for scale in (1e-3, 1.0, 1e3, 1e306):  # the last one overflows
+        w, e_prev, phi, phi_next = (scale * rng.normal(size=shape) for _ in range(4))
+        e = update_trace(e_prev, phi, disc)
+        if batch is None:
+            reward, alpha = float(scale * rng.normal()), float(rng.uniform(1e-3, 2.0))
+            gamma, decay = disc.gamma, disc.trace_decay
+        else:  # as _evaluate_rows steps a stack: columns and 0-d operands
+            reward, alpha = scale * rng.normal(size=(batch, 1)), rng.uniform(1e-3, 2.0, (batch, 1))
+            gamma, decay = disc.gamma_0d, disc.trace_decay_0d
+        for implicit, kernel in ((False, standard_step), (True, implicit_step)):
+            for terminal in (False, True):
+                args = (w, e_prev, e, phi, phi_next, reward, alpha, gamma, decay, terminal)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = kernel(*args)
+                    want = _textbook_step(implicit, *args)
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes(), (kernel.__name__, scale, terminal)
+                if scale == 1e306:
+                    assert not np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("step", [td_step_standard, td_step_implicit])
+@pytest.mark.parametrize("mismatched", ["weights", "trace"])
+def test_a_step_whose_weights_or_trace_mismatch_phi_raises_and_changes_nothing(mismatched, step):
+    disc = DiscountSpec(gamma=0.9, lam=0.5)
+    learner = make_learner(2 if mismatched == "weights" else 3, disc)
+    weights, trace = learner.weights, learner.trace
+    e = np.ones(3 if mismatched == "weights" else 2)
+    with pytest.raises(DimensionMismatchError, match=r"^vector lengths differ: 2 vs 3$"):
+        step(learner, transition([1.0, 0.0, 0.0], 1.0, [0.0, 1.0, 0.0]), 0.5, e)
+    assert learner.weights is weights and learner.trace is trace
+    assert (learner.step_count, learner.max_abs) == (0, 0.0)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from implicit_td.core import DimensionMismatchError
 from implicit_td.stability import (
     StabilityReport,
     TransitionGeometry,
@@ -225,7 +226,7 @@ def test_geometry_validation():
         TransitionGeometry(e=np.ones(2), d=np.ones(2), alpha=0.0)
     with pytest.raises(ValueError):
         TransitionGeometry(e=np.array([np.inf, 0.0]), d=np.ones(2), alpha=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError, match=r"^vector lengths differ: 2 vs 3$"):
         TransitionGeometry(e=np.ones(2), d=np.ones(3), alpha=1.0)
 
 
