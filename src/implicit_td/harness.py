@@ -14,6 +14,7 @@ template built from its field types (see _csv_schema).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -50,7 +51,8 @@ from .learners import (
     td_step_standard,  # not called here; kept for bench/layers.py, which rebinds it
 )
 from .stability import StabilityReport, TransitionGeometry, audit_step
-from .stepsize import StepSizeSchedule, make_schedule, next_alpha
+from .stepsize import StepSizeSchedule, make_schedule, polynomial_alphas
+from .stepsize import next_alpha  # not called here; kept for bench/layers.py, which rebinds it
 
 DOMAINS = ("puddle_world", "cart_pole", "random_mrp")
 ALGORITHMS = (
@@ -363,8 +365,9 @@ def run_td_evaluation(
 
     The schedule is constant or polynomial: alpha_bound belongs to SARSA
     and raises ValueError here. Every step takes a constant schedule's
-    alpha0, or its alpha from next_alpha, and applies the learner's kernel
-    (implicit_step or standard_step) to plain arrays.
+    alpha0, or the polynomial alpha of its step count, from one
+    stepsize.polynomial_alphas list per block, and applies the learner's
+    kernel (implicit_step or standard_step) to plain arrays.
 
     Divergence and the optional early-exit target, a (weights, tolerance)
     pair, are checked every CHECK_EVERY steps and at the last step; each
@@ -474,14 +477,16 @@ def _evaluate_rows(
                 row.visited.append(sample_state_path(mrp, n, row.rng, start=start))
             blocks = [row.visited[-1] for row in live]
             path = blocks[0].tolist() if single else np.stack(blocks, axis=1)
-            for t, s_next in enumerate(path, steps_done):
+            # a polynomial alpha reads only the step count: one list per block
+            if polynomial:
+                alphas = polynomial_alphas(schedule.alpha0, steps_done, n)
+            else:
+                alphas = itertools.repeat(alpha, n)
+            for s_next, alpha in zip(path, alphas):
                 phi = phi2
                 phi2 = phi_of(s_next)
                 reward = reward_of(s)
                 s = s_next
-                if polynomial:
-                    # a polynomial alpha reads only the step count
-                    alpha = next_alpha(schedule, t, e, phi, phi2, gamma)
                 e_prev = e
                 e = e_prev * decay_0d
                 e += phi

@@ -20,15 +20,18 @@ td_step_standard and td_step_implicit wrap them with input checks and the
 divergence contract below, mutate the learner and return None. They apply
 the fresh trace e the caller hands them, which an accepted step stores.
 
-Both kernels are rank-polymorphic. On one (k,) row, reward and alpha are
-floats and every inner product is an ndarray.dot call, which reaches BLAS
-ddot without the matmul operator's per-call dispatch. On a (B, k) stack of
-rows stepping in lockstep, reward and alpha are (B, 1) columns, gamma and
-decay are the spec's read-only 0-d arrays, and the inner products are
-np.vecdot over the rows, which makes the same ddot call once per row. So
-each row of a stack comes out bit for bit as its own 1-D call. A kernel
-builds w' in place in one fresh array, with the bits of w + c*e, since IEEE
-multiplication and addition commute.
+Both kernels are rank-polymorphic. Each picks its form once per call, from
+w.ndim, and writes every inner product inline, with no Python call per
+product. On one (k,) row, reward and alpha are floats and each product is
+float(a.dot(b)), which reaches BLAS ddot without the matmul operator's
+per-call dispatch. On a (B, k) stack of rows stepping in lockstep, reward
+and alpha are (B, 1) columns, gamma and decay are the spec's read-only 0-d
+arrays, and each product is np.vecdot(a, b, keepdims=True), which makes the
+same ddot call once per row; the implicit shrink's 1.0 is this module's
+read-only 0-d _ONE_0D, since a Python float plus a column takes numpy's
+slow scalar route. So each row of a stack comes out bit for bit as its own
+1-D call. A kernel builds w' in place in one fresh array, with the bits of
+w + c*e, since IEEE multiplication and addition commute.
 
 Divergence contract, applied inside the one checked step (_td_step) that
 both wrappers call: each candidate's max-abs (abs_max, NaN when any entry
@@ -54,6 +57,11 @@ DIVERGENCE_THRESHOLD = 1e8
 # what a non-finite max-abs folds in as: above the threshold, so the record
 # says diverged either way, and finite, so it can be written to a CSV row
 NONFINITE_MAX_ABS = 10.0 * DIVERGENCE_THRESHOLD
+
+# the 1.0 of a stack's implicit shrink, as a read-only 0-d array: a (B, 1)
+# column plus it skips the conversion that a Python-float operand costs
+_ONE_0D = np.array(1.0)
+_ONE_0D.flags.writeable = False
 
 
 def abs_max(w: np.ndarray) -> float:
@@ -96,14 +104,6 @@ def make_learner(k: int, disc: DiscountSpec) -> TdLearnerState:
     return TdLearnerState(weights=np.zeros(k), trace=np.zeros(k), disc=disc)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Inner product of matching rows: a float for (k,) rows, a (B, 1)
-    column for (B, k) stacks. Either way BLAS ddot runs once per row."""
-    if a.ndim == 1:
-        return float(a.dot(b))
-    return np.vecdot(a, b, keepdims=True)
-
-
 def standard_step(
     w: np.ndarray, e_prev: np.ndarray, e: np.ndarray, phi: np.ndarray,
     phi_next: np.ndarray, reward: float | np.ndarray, alpha: float | np.ndarray,
@@ -115,8 +115,12 @@ def standard_step(
     so that both kernels share one signature. Rows are (k,) arrays with
     float reward and alpha, or (B, k) stacks with (B, 1) columns;
     `terminal` applies to every row."""
-    bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
-    delta = reward + bootstrap - _row_dot(phi, w)
+    if w.ndim == 1:
+        bootstrap = 0.0 if terminal else gamma * float(phi_next.dot(w))
+        delta = reward + bootstrap - float(phi.dot(w))
+    else:
+        bootstrap = 0.0 if terminal else gamma * np.vecdot(phi_next, w, keepdims=True)
+        delta = reward + bootstrap - np.vecdot(phi, w, keepdims=True)
     u = e * (alpha * delta)  # w + (alpha*delta)*e in one fresh array
     u += w
     return u
@@ -137,12 +141,20 @@ def implicit_step(
         u  = w + alpha * b * e
         w' = u - (alpha / (1 + alpha*||e||^2)) * (e.u) * e
     """
-    bootstrap = 0.0 if terminal else gamma * _row_dot(phi_next, w)
-    bracket = reward + bootstrap + decay * _row_dot(e_prev, w)
-    u = e * (alpha * bracket)  # u and then w' in one fresh array
-    u += w
-    shrink = alpha / (1.0 + alpha * _row_dot(e, e))
-    u -= e * (shrink * _row_dot(e, u))
+    if w.ndim == 1:
+        bootstrap = 0.0 if terminal else gamma * float(phi_next.dot(w))
+        bracket = reward + bootstrap + decay * float(e_prev.dot(w))
+        u = e * (alpha * bracket)  # u and then w' in one fresh array
+        u += w
+        shrink = alpha / (1.0 + alpha * float(e.dot(e)))
+        u -= e * (shrink * float(e.dot(u)))
+    else:
+        bootstrap = 0.0 if terminal else gamma * np.vecdot(phi_next, w, keepdims=True)
+        bracket = reward + bootstrap + decay * np.vecdot(e_prev, w, keepdims=True)
+        u = e * (alpha * bracket)
+        u += w
+        shrink = alpha / (_ONE_0D + alpha * np.vecdot(e, e, keepdims=True))
+        u -= e * (shrink * np.vecdot(e, u, keepdims=True))
     return u
 
 

@@ -14,7 +14,10 @@ Three kinds:
   derived from the current trace, and traces restart with the episode).
 
 Schedules are consulted once per step, before the learner update; learners
-never own one.
+never own one. A polynomial step size depends on the step count alone, so
+the TD-evaluation loop takes a whole block's at once (polynomial_alphas), by
+the formula next_alpha's polynomial branch uses, instead of a next_alpha
+call per step.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ def reset_schedule(sched: StepSizeSchedule) -> None:
     sched.alpha_current = sched.alpha0
 
 
+def polynomial_alphas(alpha0: float, start: int, n: int) -> list[float]:
+    """The polynomial schedule's step sizes for step counts start, ...,
+    start + n - 1, as floats: the values next_alpha returns for them."""
+    exponent = -POLYNOMIAL_EXPONENT
+    return [alpha0 * float(t) ** exponent for t in range(start + 1, start + n + 1)]
+
+
 def next_alpha(
     sched: StepSizeSchedule,
     step_count: int,
@@ -73,7 +83,8 @@ def next_alpha(
     if sched.kind == "constant":
         return sched.alpha0
     if sched.kind == "polynomial":
-        return sched.alpha0 * float(step_count + 1) ** -POLYNOMIAL_EXPONENT
+        (alpha,) = polynomial_alphas(sched.alpha0, step_count, 1)
+        return alpha
     alpha = sched.alpha_current
     curvature = float(e.dot(gamma * phi_next - phi_t))
     if curvature < 0.0:

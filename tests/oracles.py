@@ -12,9 +12,19 @@ from typing import Callable
 
 import numpy as np
 
-from implicit_td.core import Transition, check_same_length, update_trace
-from implicit_td.learners import TdLearnerState
+from implicit_td.core import DiscountSpec, Transition, check_same_length, update_trace
+from implicit_td.envs import FiniteMrp, sample_state_path
+from implicit_td.harness import CHECK_EVERY, TdEvalResult
+from implicit_td.learners import (
+    DIVERGENCE_THRESHOLD,
+    TdLearnerState,
+    abs_max,
+    fold_max_abs,
+    implicit_step,
+    standard_step,
+)
 from implicit_td.stability import TransitionGeometry
+from implicit_td.stepsize import StepSizeSchedule, next_alpha
 
 ORACLE_MAX_K = 64
 DENSE_ORACLE_MAX_K = 64
@@ -51,6 +61,48 @@ def step_with_fresh_trace(
     """Apply td_step_standard or td_step_implicit as an episode driver does:
     with the fresh trace update_trace(state.trace, tr.phi_t, state.disc)."""
     step(state, tr, alpha, update_trace(state.trace, tr.phi_t, state.disc))
+
+
+def td_evaluation_reference(
+    mrp: FiniteMrp, disc: DiscountSpec, schedule: StepSizeSchedule, total_steps: int,
+    seed: int, implicit: bool, eval_window: int, target: tuple[np.ndarray, float] | None,
+) -> TdEvalResult:
+    """run_td_evaluation's one row as a plain loop. Test oracle.
+
+    The whole path is drawn up front; every step calls next_alpha, then
+    update_trace, then the kernel. Divergence and the target are checked
+    every CHECK_EVERY steps and at the last step, and the first check that
+    trips ends the run.
+    """
+    rng = np.random.default_rng(seed)
+    start = sample_state_path(mrp, 1, rng)
+    rest = sample_state_path(mrp, total_steps, rng, start=int(start[0]))
+    path = np.concatenate([start, rest]).tolist()
+    kernel = implicit_step if implicit else standard_step
+    w = np.zeros(mrp.features.shape[1])
+    e = np.zeros_like(w)
+    max_abs = 0.0
+    steps_done = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps_done < total_steps:
+            phi, phi_next = mrp.features[path[steps_done]], mrp.features[path[steps_done + 1]]
+            reward = float(mrp.r[path[steps_done]])
+            alpha = next_alpha(schedule, steps_done, e, phi, phi_next, disc.gamma)
+            e_prev, e = e, update_trace(e, phi, disc)
+            w = kernel(
+                w, e_prev, e, phi, phi_next, reward, alpha, disc.gamma, disc.trace_decay, False
+            )
+            steps_done += 1
+            if steps_done % CHECK_EVERY and steps_done < total_steps:
+                continue
+            max_abs = fold_max_abs(max_abs, abs_max(w))
+            if max_abs > DIVERGENCE_THRESHOLD:
+                break
+            if target is not None and abs_max(w - target[0]) <= target[1]:
+                break
+    n = min(eval_window, steps_done)
+    rewards = mrp.r[path[steps_done - n : steps_done]]
+    return TdEvalResult(w, steps_done, max_abs, float(rewards.mean()) if n else 0.0)
 
 
 def dense_gain_matrix(g: TransitionGeometry, implicit: bool) -> np.ndarray:

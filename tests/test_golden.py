@@ -1,4 +1,4 @@
-"""Golden bytes: sweep.csv and audit.csv outputs compared byte for byte.
+"""Golden bytes: sweep.csv, audit.csv and fixed-point outputs compared byte for byte.
 
 Run-against-run determinism cannot see a change that moves every number by
 one ulp; these committed files can. A change that moves any byte must list
@@ -8,10 +8,13 @@ with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
 
+from implicit_td import cli
 from implicit_td.harness import ExperimentConfig, run_sweep, stability_audit_run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -71,18 +74,37 @@ AUDITS = {
     "audit_random_mrp.csv": (_sweep("random_mrp", "td_implicit", total_steps=2000), 0.125, 23),
 }
 
+# file name -> `implicit-td fixed-point` arguments; the golden is its stdout.
+# The only committed bytes of the polynomial schedule's one-row TD loop
+FIXED_POINTS = {
+    # the benchmark's check: stops at the first 1000-step check within 0.02
+    "fixed_point_states5_tol.txt": (
+        "--states", "5", "--seed", "0", "--steps", "1000000", "--tol", "0.02",
+    ),
+    # stops at its step budget, 500 steps into its third block
+    "fixed_point_states3_steps2500.txt": ("--states", "3", "--steps", "2500"),
+}
+NAMES = sorted(SWEEPS) + sorted(AUDITS) + sorted(FIXED_POINTS)
+
 
 def render(name: str, out_dir: Path) -> bytes:
     path = out_dir / name
     if name in SWEEPS:
         run_sweep(SWEEPS[name], out_path=path)
-    else:
+    elif name in AUDITS:
         config, alpha0, sample_every = AUDITS[name]
         stability_audit_run(config, alpha0, 0, sample_every, out_path=path)
+    else:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = cli.main(["fixed-point", *FIXED_POINTS[name]])
+        if status != cli.EXIT_OK:
+            raise RuntimeError(f"fixed-point {FIXED_POINTS[name]} exited {status}")
+        path.write_bytes(stdout.getvalue().encode())
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS) + sorted(AUDITS))
+@pytest.mark.parametrize("name", NAMES)
 def test_output_bytes_match_golden(name, tmp_path):
     assert render(name, tmp_path) == (GOLDEN / name).read_bytes(), (
         f"{name} differs from the golden bytes recorded on {RECORDED_ON}; "
@@ -93,6 +115,6 @@ def test_output_bytes_match_golden(name, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(SWEEPS) + sorted(AUDITS):
+    for name in NAMES:
         render(name, GOLDEN)
         print(f"wrote {GOLDEN / name}")

@@ -45,6 +45,7 @@ from implicit_td.harness import (
 from implicit_td.learners import DIVERGENCE_THRESHOLD, NONFINITE_MAX_ABS, td_fixed_point_oracle
 from implicit_td.stability import StabilityReport
 from implicit_td.stepsize import make_schedule
+from oracles import td_evaluation_reference
 
 SARSA_KW = dict(domain="cart_pole", algorithm="sarsa_implicit")
 
@@ -578,6 +579,28 @@ def test_td_eval_window_mean_equals_a_path_drawn_up_front(case, window):
     assert res.mean_reward_last_window == window_mean_up_front(
         mrp, 3, ORACLE_STEPS, steps, window
     )
+
+
+@pytest.mark.parametrize("total_steps", [999, 1000, 1001, 2500])
+@pytest.mark.parametrize("with_target", [False, True], ids=["no_target", "target"])
+@pytest.mark.parametrize("implicit", [False, True], ids=["standard", "implicit"])
+def test_polynomial_row_equals_a_loop_calling_next_alpha_every_step(
+    implicit, with_target, total_steps
+):
+    # the one-row loop reads a polynomial row's step sizes from one list per
+    # block; an off-by-one in a block's list would move every later weight
+    mrp = random_chain_mrp(5, seed=1)
+    disc = DiscountSpec(gamma=0.9, lam=0.5)
+    # tolerance 0.35 trips at the 2000-step check for both rules
+    target = (td_fixed_point_oracle(mrp, disc), 0.35) if with_target else None
+    args = (mrp, disc, make_schedule("polynomial", 0.5), total_steps, 3, implicit, 700, target)
+    got = run_td_evaluation(*args)
+    want = td_evaluation_reference(*args)
+    assert got.steps_completed == want.steps_completed
+    assert got.steps_completed == (2000 if with_target and total_steps == 2500 else total_steps)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.max_weight_abs.hex() == want.max_weight_abs.hex()
+    assert got.mean_reward_last_window.hex() == want.mean_reward_last_window.hex()
 
 
 def one_row_window_100(steps):

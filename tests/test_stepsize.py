@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from implicit_td.stepsize import (
+    POLYNOMIAL_EXPONENT,
     make_schedule,
     next_alpha,
+    polynomial_alphas,
     reset_schedule,
 )
 
@@ -40,6 +42,19 @@ def test_polynomial_decay_values():
     assert consult(sched, 0) == 0.5
     assert consult(sched, 1) == pytest.approx(0.5 * 2.0**-0.7)
     assert consult(sched, 99) == pytest.approx(0.5 * 100.0**-0.7)
+
+
+@pytest.mark.parametrize(
+    "start,n", [(0, 0), (0, 1), (0, 1000), (999, 2), (1000, 1000), (10**6 - 3, 7)]
+)
+def test_polynomial_alphas_are_next_alphas_step_by_step(start, n):
+    sched = make_schedule("polynomial", 0.3)
+    got = polynomial_alphas(0.3, start, n)
+    assert len(got) == n
+    for t, alpha in enumerate(got, start):
+        assert type(alpha) is float
+        assert alpha.hex() == consult(sched, t).hex()
+        assert alpha.hex() == (0.3 * float(t + 1) ** -POLYNOMIAL_EXPONENT).hex()
 
 
 def test_alpha_bound_shrinks_for_later_steps():
